@@ -18,6 +18,7 @@ STAGES = [
     ("hexagon homology", ["topology", "--complex", "chessboard", "--m", "3", "--n", "2"]),
     ("torus homology", ["topology", "--complex", "chessboard", "--m", "4", "--n", "3"]),
     ("wide board connectivity", ["topology", "--complex", "chessboard", "--m", "3", "--n", "5"]),
+    ("5x5 board 3-torsion", ["topology", "--complex", "chessboard", "--m", "5", "--n", "5"]),
     (
         "circle pseudomanifold",
         ["topology", "--complex", "gorbushka-join", "--r", "2", "--pseudomanifold"],

@@ -13,12 +13,14 @@ tiles of a cut:
 * ``join_power(r)`` -- the r x r board with at most one rook per column and
   no row restriction (a box may receive any number of tiles).
 
-The module also provides integer reduced homology via Smith normal form and
-a pseudomanifold check, both used by the verification suite.
+The module also provides integer reduced homology (sparse elimination on
+unit pivots, then Smith normal form of the block that remains) and a
+pseudomanifold check, both used by the verification suite.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import os
@@ -35,7 +37,9 @@ JOIN_POWER = "join_power"
 
 CACHE_ENV_VAR = "ENVYDIV_CACHE_DIR"
 
-#: default cap on the total number of faces a homology computation may touch
+#: default cap for a homology computation: it bounds the total face count,
+#: and the entries (rows x columns) of each dense block left over after
+#: unit-pivot elimination, the only dense matrix the computation allocates
 MAX_SIMPLICES = 100_000
 
 
@@ -323,22 +327,114 @@ def smith_invariants(matrix: list[list[int]]) -> list[int]:
     return divisors
 
 
-def boundary_matrix(cx: SimplicialComplex, dim: int) -> list[list[int]]:
-    """Oriented boundary matrix from dim-faces to (dim-1)-faces.
+def boundary_matrix(cx: SimplicialComplex, dim: int) -> list[dict[int, int]]:
+    """Sparse oriented boundary matrix from dim-faces to (dim-1)-faces.
 
-    Faces are ordered lexicographically by their sorted cell tuples; the sign
-    of a facet of a simplex is (-1)^i for removal of the i-th vertex.
+    One column per dim-face, as a ``{row index: sign}`` dict with dim+1
+    entries.  Faces are ordered lexicographically by their sorted cell
+    tuples; the sign of a facet of a simplex is (-1)^i for removal of the
+    i-th vertex.
     """
     if dim <= 0 or dim > cx.dimension:
         return []
     lower = {f: idx for idx, f in enumerate(cx.faces[dim - 1])}
-    upper = cx.faces[dim]
-    rows = [[0] * len(upper) for _ in lower]
-    for col, simplex in enumerate(upper):
-        for i in range(len(simplex)):
-            face = simplex[:i] + simplex[i + 1:]
-            rows[lower[face]][col] = (-1) ** i
-    return rows
+    return [
+        {lower[simplex[:i] + simplex[i + 1:]]: -1 if i % 2 else 1 for i in range(len(simplex))}
+        for simplex in cx.faces[dim]
+    ]
+
+
+def sparse_invariants(columns: list[dict[int, int]], max_block: int = MAX_SIMPLICES) -> list[int]:
+    """Nonzero invariant factors of a sparse integer matrix given by columns.
+
+    Eliminates on unit (+-1) pivots while any remain, each time taking the
+    one of lowest Markowitz cost (column nonzeros - 1) x (row nonzeros - 1);
+    every such pivot contributes an invariant factor 1.  The block left
+    without unit entries goes to :func:`smith_invariants`.  Invariant
+    factors are unique, so the result equals ``smith_invariants`` of the
+    dense matrix.  Raises ResourceCapExceeded, before allocating it, when
+    that block has more than ``max_block`` entries.
+    """
+    cols = {j: dict(col) for j, col in enumerate(columns) if col}
+    rows: dict[int, set[int]] = {}
+    for j, col in cols.items():
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+
+    # Every unit entry keeps a heap item carrying its current cost: an item
+    # is pushed whenever the cost may have dropped, and one whose cost rose
+    # is pushed again when it surfaces.
+    heap: list[tuple[int, int, int]] = []
+
+    def push(i: int, j: int) -> None:
+        if cols[j][i] in (1, -1):
+            heapq.heappush(heap, ((len(cols[j]) - 1) * (len(rows[i]) - 1), i, j))
+
+    for j, col in cols.items():
+        for i in col:
+            push(i, j)
+
+    units = 0
+    while heap:
+        cost, i, j = heapq.heappop(heap)
+        pivot_col = cols.get(j)
+        if pivot_col is None or pivot_col.get(i) not in (1, -1):
+            continue
+        current = (len(pivot_col) - 1) * (len(rows[i]) - 1)
+        if current != cost:
+            heapq.heappush(heap, (current, i, j))
+            continue
+
+        # clear row i by column operations; column j and row i then leave
+        units += 1
+        del cols[j]
+        sign = pivot_col.pop(i)
+        row_sizes = {r: len(rows[r]) for r in pivot_col}
+        for r in pivot_col:
+            rows[r].discard(j)
+        updated = rows.pop(i)
+        updated.discard(j)
+        for k in updated:
+            target = cols[k]
+            size = len(target)
+            factor = target.pop(i) * sign
+            for r, v in pivot_col.items():
+                value = target.get(r, 0) - factor * v
+                if value:
+                    target[r] = value
+                    rows[r].add(k)
+                else:
+                    del target[r]
+                    rows[r].discard(k)
+            if not target:
+                del cols[k]
+            elif len(target) < size:
+                for r in target:
+                    push(r, k)
+            else:
+                for r in pivot_col:
+                    if r in target:
+                        push(r, k)
+        for r, size in row_sizes.items():
+            if not rows[r]:
+                del rows[r]
+            elif len(rows[r]) < size:
+                for k in rows[r]:
+                    push(r, k)
+
+    if not cols:
+        return [1] * units
+    if len(rows) * len(cols) > max_block:
+        raise ResourceCapExceeded(
+            f"dense block left after unit-pivot elimination is {len(rows)}x{len(cols)}, "
+            f"cap is {max_block} entries"
+        )
+    row_index = {i: idx for idx, i in enumerate(sorted(rows))}
+    block = [[0] * len(cols) for _ in row_index]
+    for c, j in enumerate(sorted(cols)):
+        for i, v in cols[j].items():
+            block[row_index[i]][c] = v
+    return [1] * units + smith_invariants(block)
 
 
 @dataclass(frozen=True)
@@ -358,10 +454,13 @@ class HomologyReport:
 
 
 def reduced_homology(cx: SimplicialComplex, max_simplices: int = MAX_SIMPLICES) -> HomologyReport:
-    """Reduced homology over the integers via Smith normal form.
+    """Reduced homology over the integers from sparse boundary matrices.
 
-    Deterministic; raises ResourceCapExceeded when the total face count goes
-    past ``max_simplices``.
+    Each boundary matrix is reduced by unit-pivot elimination, and only the
+    block that remains gets a dense Smith normal form (:func:`sparse_invariants`).
+    Deterministic.  ``max_simplices`` caps both the total face count and the
+    entries of each leftover dense block; going past either raises
+    ResourceCapExceeded.
     """
     if cx.dimension < 0:
         return HomologyReport((), (), 0)
@@ -371,7 +470,9 @@ def reduced_homology(cx: SimplicialComplex, max_simplices: int = MAX_SIMPLICES) 
         )
     counts = cx.face_counts()
     dim = cx.dimension
-    invariants = {k: smith_invariants(boundary_matrix(cx, k)) for k in range(1, dim + 1)}
+    invariants = {
+        k: sparse_invariants(boundary_matrix(cx, k), max_simplices) for k in range(1, dim + 1)
+    }
     ranks = {k: len(invariants[k]) for k in invariants}
     ranks[0] = 1 if counts[0] else 0  # augmentation map onto the integers
     ranks[dim + 1] = 0

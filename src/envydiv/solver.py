@@ -24,6 +24,7 @@ changes the reported best.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import logging
 import math
@@ -614,7 +615,7 @@ def solve(
     if prefs.kind != NEW:
         raise ValueError("the solver needs a new-style oracle; lift tile-level preferences first")
     if prefs.variant is None:
-        prefs.variant = variant
+        prefs = dataclasses.replace(prefs, variant=variant)
     elif prefs.variant != variant:
         raise ValueError(f"oracle is bound to {prefs.variant}, asked to solve {variant}")
 

@@ -18,6 +18,7 @@ from envydiv.complexes import (
     join_power,
     reduced_homology,
     smith_invariants,
+    sparse_invariants,
 )
 
 import oracles
@@ -145,6 +146,37 @@ def test_smith_invariants_known_matrices():
     assert smith_invariants([[2]]) == [2]
 
 
+def _columns(matrix):
+    n_cols = len(matrix[0]) if matrix else 0
+    return [{i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(n_cols)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0, 0, 1, -1, 2, -2, 3, 6]), min_size=n, max_size=n),
+            min_size=1,
+            max_size=7,
+        )
+    )
+)
+def test_sparse_invariants_match_dense_smith_form(matrix):
+    assert sparse_invariants(_columns(matrix)) == smith_invariants(matrix)
+
+
+def test_sparse_invariants_of_empty_matrices():
+    assert sparse_invariants([]) == []
+    assert sparse_invariants([{}, {}]) == []
+
+
+def test_sparse_invariants_cap_bounds_the_leftover_dense_block():
+    twice_identity = [{i: 2} for i in range(20)]
+    with pytest.raises(ResourceCapExceeded, match="20x20"):
+        sparse_invariants(twice_identity, max_block=100)
+    assert sparse_invariants(twice_identity, max_block=400) == [2] * 20
+
+
 def test_homology_hexagon():
     report = reduced_homology(build_complex(chessboard(3, 2)))
     assert report.betti == (0, 1)
@@ -176,7 +208,7 @@ def test_homology_agrees_with_rational_oracle(variant):
 
 
 def test_homology_euler_consistency():
-    for variant in (chessboard(3, 3), join_power(2), gorbushka_join(3)):
+    for variant in (chessboard(3, 3), join_power(2), gorbushka_join(3), gorbushka_join(5)):
         cx = build_complex(variant)
         report = reduced_homology(cx)
         alternating = sum((-1) ** d * b for d, b in enumerate(report.betti))
@@ -187,6 +219,32 @@ def test_homology_resource_cap():
     cx = build_complex(chessboard(4, 3))
     with pytest.raises(ResourceCapExceeded):
         reduced_homology(cx, max_simplices=10)
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    [(m, n) for m in range(2, 6) for n in range(2, 6)] + [(4, 6), (4, 7)],
+)
+def test_chessboard_homology_vanishes_below_connectivity_bound(m, n):
+    # Bjorner-Lovasz-Vrecica-Zivaljevic: the m x n chessboard complex is
+    # (nu - 2)-connected, so its reduced homology vanishes below nu - 1
+    report = reduced_homology(build_complex(chessboard(m, n)))
+    below = min(m, n, (m + n + 1) // 3) - 1
+    assert report.betti[:below] == (0,) * below
+    assert report.torsion[:below] == ((),) * below
+
+
+def test_five_by_five_chessboard_has_three_torsion_in_degree_two():
+    report = reduced_homology(build_complex(chessboard(5, 5)))
+    assert report.torsion[2] == (3,)
+    assert report.betti[2] == 0
+
+
+def test_join_power_four_is_a_wedge_of_three_spheres():
+    # the join of four 4-point sets is a wedge of 3^4 three-spheres
+    report = reduced_homology(build_complex(join_power(4)))
+    assert report.betti == (0, 0, 0, 81)
+    assert all(not t for t in report.torsion)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])

@@ -177,6 +177,15 @@ def test_solve_hungry_matches_equal_split():
     assert division.min_assigned_score() == pytest.approx(1 / 3, abs=1e-9)
 
 
+def test_solve_leaves_an_unbound_oracle_unbound():
+    variant = gorbushka_join(2)
+    prefs = make_builtin("hungry", 2, kind="new", variant=variant)
+    prefs.variant = None
+    division = solve(variant, prefs)
+    assert division.residual <= 1e-6
+    assert prefs.variant is None
+
+
 def test_solve_reports_budget_exhaustion():
     variant = gorbushka_join(3)
     prefs = make_builtin("piecewise_random", 3, kind="new", variant=variant, seed=8)

@@ -38,13 +38,7 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _options(args) -> SearchOptions:
-    return SearchOptions(
-        tolerance=args.tol,
-        max_depth=args.max_depth,
-        multistarts=args.multistarts,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    return SearchOptions(tolerance=args.tol, coarse_budget=args.coarse_budget, seed=args.seed)
 
 
 def _load_prefs(args, space=None):
@@ -228,9 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="search for a verified envy-free division")
     add_common(p_solve)
     p_solve.add_argument("--tol", type=float, default=1e-6)
-    p_solve.add_argument("--max-depth", type=int, default=12)
-    p_solve.add_argument("--multistarts", type=int, default=32)
-    p_solve.add_argument("--threads", type=int, default=1)
+    p_solve.add_argument(
+        "--coarse-budget",
+        type=int,
+        default=SearchOptions.coarse_budget,
+        help="evaluations one grid may take; the grid stops doubling beyond it",
+    )
     p_solve.set_defaults(fn=_cmd_solve)
 
     p_brute = sub.add_parser("brute", help="exhaustive max-min scan on a grid")
@@ -282,6 +279,10 @@ def main(argv=None) -> int:
         if exc.best is not None:
             payload["best_residual"] = exc.best.residual
             payload["best_point"] = exc.best.point.to_json()
+            payload["evaluations"] = exc.best.evaluations
+            payload["orbit_representatives"] = exc.best.orbit_representatives
+            payload["denominator"] = exc.best.denominator
+            payload["pl_zeros"] = [list(pair) for pair in exc.best.pl_zeros]
         _emit(payload, getattr(args, "out", None))
         return EXIT_BUDGET
     except PreferenceValidationError as exc:

@@ -7,19 +7,16 @@ Such a matrix is a convex mix of permutation matrices, so some permutation
 assigns every player a box they score positively, and that permutation is
 the envy-free assignment.
 
-The search enumerates the maximal simplices of the variant's complex,
-scores a coarse barycentric grid inside each, then refines the most
-promising simplices by a shrinking pattern search followed by a
-Nelder-Mead polish.  Deepening the refinement never worsens the best
-residual found.  Exhausting the budget without reaching the tolerance is a
-distinguished outcome: it may mean a genuine obstruction (for player counts
-where existence fails) or just too small a budget, and the solver cannot
-tell the two apart.
-
-Simplex scans are independent pure computations; with ``threads > 1`` they
-run on a thread pool and the results are combined by a commutative
-min-reduction keyed on (residual, simplex index), so scheduling order never
-changes the reported best.
+The search is a simplicial (PL) approximation of the averaged test map
+F(x) = column average - 1/r.  Box-label blindness makes F equivariant,
+F(sigma x) = sigma F(x), so the search scans one facet per box-relabelling
+orbit.  On each it evaluates F on a barycentric grid, solves the linear
+system of every small simplex of the grid's Freudenthal subdivision for the
+zeros of the PL interpolation of F, and refines those zeros by
+simplex-secant steps, doubling the grid when they stall.  Exhausting the
+budget without reaching the tolerance is a distinguished outcome: it may
+mean a genuine obstruction (for player counts where existence fails) or
+just too small a budget, and the solver cannot tell the two apart.
 """
 
 from __future__ import annotations
@@ -28,18 +25,17 @@ import dataclasses
 import itertools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .complexes import (
     CHESSBOARD,
     GORBUSHKA_JOIN,
     JOIN_POWER,
+    Cell,
     ResourceCapExceeded,
     Variant,
     build_complex,
@@ -78,14 +74,13 @@ class BudgetExhausted(RuntimeError):
 
 @dataclass
 class SearchOptions:
-    """Knobs for the residual search; every run is reproducible per seed."""
+    """Knobs for the search, which is deterministic; ``seed`` only seeds the
+    sampled validation in ``solve``.  The grid stops doubling once the next
+    one would take more than ``coarse_budget`` evaluations."""
 
     tolerance: float = 1e-6
-    max_depth: int = 12
-    multistarts: int = 32
-    seed: int = 0
-    threads: int = 1
     coarse_budget: int = 200_000
+    seed: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,14 +320,10 @@ def birkhoff(matrix: StochasticMatrix, tol: float = 1e-6) -> BirkhoffDecompositi
 
 
 def _barycentric_grid(parts: int, denominator: int):
-    """All weight vectors with the given denominator on the (parts-1)-simplex."""
+    """All integer weight vectors summing to the denominator, ``parts`` long."""
     for cuts in itertools.combinations(range(denominator + parts - 1), parts - 1):
-        prev = -1
-        counts = []
-        for c in cuts + (denominator + parts - 1,):
-            counts.append(c - prev - 1)
-            prev = c
-        yield tuple(v / denominator for v in counts)
+        bounds = (-1,) + cuts + (denominator + parts - 1,)
+        yield tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))
 
 
 def _coarse_denominator(n_facets: int, parts: int, budget: int, preferred: int) -> int:
@@ -342,197 +333,208 @@ def _coarse_denominator(n_facets: int, parts: int, budget: int, preferred: int) 
     return 2
 
 
+def _kuhn_simplices(parts: int, k: int, chunk: int = 4096):
+    """The k^n simplices of the Freudenthal (Kuhn) subdivision of the
+    n-simplex, n = parts - 1, as int arrays (simplex, vertex, corner) of
+    integer weights summing to k, ``chunk`` simplices at a time.
+
+    With x_i = m_i + ... + m_n the simplex is k >= x_1 >= ... >= x_n >= 0.
+    A word a in {0..k-1}^n encodes one small simplex: it starts at a sorted
+    non-increasingly, and step t raises the x_i that a_t lands on in a
+    stable sort, which moves one unit of weight from corner i-1 to corner i.
+    """
+    n = parts - 1
+    unit = np.eye(parts, dtype=np.int64)
+    for start in range(0, k**n, chunk):
+        index = np.arange(start, min(start + chunk, k**n))
+        a = np.stack(np.unravel_index(index, (k,) * n), axis=1).reshape(len(index), n)
+        order = np.argsort(-a, axis=1, kind="stable")
+        raised = 1 + np.argsort(order, axis=1)
+        x = np.take_along_axis(a, order, axis=1)
+        bounded = np.concatenate([np.full((len(a), 1), k), x, np.zeros_like(x[:, :1])], axis=1)
+        m = -np.diff(bounded, axis=1)
+        steps = np.cumsum(unit[raised] - unit[raised - 1], axis=1)
+        yield np.concatenate([m[:, None, :], m[:, None, :] + steps], axis=1)
+
+
+def _pl_zeros(points: np.ndarray, values: np.ndarray, simplices: np.ndarray, chunk: int = 4096):
+    """Zeros of the piecewise-linear interpolation of F over small simplices.
+
+    ``values[i]`` is F at ``points[i]``, and row s of ``simplices`` lists the
+    point indices of the vertices of simplex s.  A zero solves
+    sum_v lam_v F(v) = 0 with sum_v lam_v = 1 and lam >= 0; F sums to zero,
+    so its last component gives way to the normalization row.  Returns the
+    zeros in simplex order, each once, in the coordinates of ``points``.
+    """
+    parts = values.shape[1]
+    found = []
+    for start in range(0, len(simplices), chunk):
+        rows = simplices[start:start + chunk]
+        system = np.swapaxes(values[rows], 1, 2)
+        system[:, -1, :] = 1.0
+        # skip simplices whose interpolation is singular, relative to the
+        # scale of F so that fine grids near a zero are not skipped
+        scale = np.prod(np.linalg.norm(system, axis=2), axis=1)
+        regular = np.abs(np.linalg.det(system)) > 1e-12 * scale
+        rhs = np.zeros((int(regular.sum()), parts, 1))
+        rhs[:, -1, 0] = 1.0
+        lam = np.linalg.solve(system[regular], rhs)[:, :, 0]
+        inside = (lam >= -1e-12).all(axis=1)
+        found.append(np.einsum("sv,svc->sc", lam[inside], points[rows[regular][inside]]))
+    zeros = np.concatenate(found)
+    # + 0.0 turns -0.0 into 0.0, which unique() would tell apart
+    _, first = np.unique(np.round(zeros, 9) + 0.0, axis=0, return_index=True)
+    return zeros[np.sort(first)]
+
+
+def _orbit_representatives(facets) -> list[tuple[Cell, ...]]:
+    """One facet per box-relabelling orbit, cells ordered by tile.
+
+    A facet is the representative of its orbit when, read tile by tile, its
+    boxes first appear in the order 1, 2, 3, ...
+    """
+    reps = []
+    for facet in facets:
+        cells = tuple(sorted(facet, key=lambda cell: cell[1]))
+        boxes = list(dict.fromkeys(box for box, _ in cells))
+        if boxes == list(range(1, len(boxes) + 1)):
+            reps.append(cells)
+    return reps
+
+
 @dataclass
 class SearchResult:
+    """Best point found, and deterministic counters of the search's work.
+
+    ``orbit_representatives`` counts the facets searched, one per
+    box-relabelling orbit (a failed search scans each on every grid);
+    ``denominator`` is the last grid's k; ``pl_zeros`` pairs every k tried
+    with the PL zeros found on it.
+    """
+
     point: ConfigPoint
     residual: float
     converged: bool
     evaluations: int
+    orbit_representatives: int
+    denominator: int
+    pl_zeros: tuple[tuple[int, int], ...]
 
 
-class _Evaluator:
-    """Residual of the averaged score matrix over one facet's weights."""
+def _secant_refine(evaluate, cells, w, h, tolerance, steps=12, retries=2):
+    """Simplex-secant steps from a PL zero; returns the best (residual, point).
 
-    def __init__(self, prefs, variant, facet):
-        self.prefs = prefs
-        self.variant = variant
-        self.facet = facet
-        self.count = 0
-
-    def __call__(self, weights):
-        w = np.clip(np.asarray(weights, dtype=float), 0.0, None)
-        total = w.sum()
-        w = w / total if total > 0 else np.full(len(self.facet), 1.0 / len(self.facet))
-        point = point_from_barycentric(self.variant, self.facet, tuple(float(v) for v in w))
-        self.count += 1
-        return average_matrix(self.prefs, point).residual, point
-
-
-def _pattern_refine(evaluate, w0, depth):
-    """Shrinking edgewise moves toward/away from each corner of the simplex."""
-    best_w = np.asarray(w0, dtype=float)
-    best_v, best_pt = evaluate(best_w)
-    h = 0.5
-    n = len(best_w)
-    for _ in range(depth):
-        improved = False
-        for i in range(n):
-            corner = np.zeros(n)
-            corner[i] = 1.0
-            toward = (1.0 - h) * best_w + h * corner
-            away = np.clip(best_w - h * corner, 0.0, None)
-            for cand in (toward, away):
-                if cand.sum() <= 0:
-                    continue
-                v, pt = evaluate(cand / cand.sum())
-                if v < best_v:
-                    best_v, best_w, best_pt = v, cand / cand.sum(), pt
-                    improved = True
-        if not improved:
-            h *= 0.5
-    return best_w, best_v, best_pt
-
-
-def _polish(evaluate, w0, maxfev):
-    """Nelder-Mead on clipped-and-renormalized weights, tracking the best."""
-    state = {}
-
-    def objective(v):
-        val, pt = evaluate(v)
-        if "best" not in state or val < state["best"][0]:
-            state["best"] = (val, pt)
-        return val
-
-    objective(np.asarray(w0, dtype=float))
-    minimize(
-        objective,
-        np.asarray(w0, dtype=float),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxfev": maxfev},
-    )
-    return state["best"]
-
-
-def _bisect_two_player(prefs, variant, facets, opts):
-    """Intermediate-value bisection over the edges of a two-player complex."""
-    steps = 32
-    count = 0
-
-    def gap(facet, t):
-        nonlocal count
-        count += 1
-        point = point_from_barycentric(variant, facet, (t, 1.0 - t))
-        m = average_matrix(prefs, point)
-        return float(m.averages[0] - 0.5), point
-
-    for facet in facets:
-        values = []
-        for i in range(steps + 1):
-            values.append(gap(facet, i / steps))
-        for i in range(steps):
-            lo, hi = i / steps, (i + 1) / steps
-            g_lo, g_hi = values[i][0], values[i + 1][0]
-            for g, pt in (values[i], values[i + 1]):
-                if abs(g) <= opts.tolerance:
-                    return abs(g), pt, count
-            if g_lo * g_hi > 0:
-                continue
-            best_g, best_pt = values[i]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                g_mid, pt_mid = gap(facet, mid)
-                if abs(g_mid) < abs(best_g):
-                    best_g, best_pt = g_mid, pt_mid
-                if abs(g_mid) <= opts.tolerance or hi - lo < 1e-15:
-                    return abs(best_g), best_pt, count
-                if g_lo * g_mid <= 0:
-                    hi = mid
-                else:
-                    lo, g_lo = mid, g_mid
-            return abs(best_g), best_pt, count
-    return None
+    Each step interpolates F linearly on the simplex with vertices
+    (1-h) w + h e_i, moves w to that simplex's PL zero, and shrinks h to the
+    length of the move.  A step that does not lower the residual is retried
+    on a simplex 8 times smaller, at most ``retries`` times in all.
+    """
+    parts = len(cells)
+    _, v, point = evaluate(cells, w)
+    for _ in range(steps):
+        if v <= tolerance:
+            break
+        vertices = (1.0 - h) * w + h * np.eye(parts)
+        system = np.array([evaluate(cells, u)[0] for u in vertices]).T
+        system[-1, :] = 1.0
+        try:
+            lam = np.linalg.solve(system, np.eye(parts)[-1])
+        except np.linalg.LinAlgError:
+            break
+        moved = np.clip(lam @ vertices, 0.0, None)
+        moved /= moved.sum()
+        _, v_moved, point_moved = evaluate(cells, moved)
+        if v_moved < v:
+            h = max(float(np.abs(moved - w).max()), 1e-12)
+            w, v, point = moved, v_moved, point_moved
+        elif retries:
+            retries -= 1
+            h /= 8.0
+        else:
+            break
+    return v, point
 
 
 def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | None = None) -> SearchResult:
-    """Minimize the residual over the variant's complex.
+    """Find a zero of F = column average - 1/r by simplicial approximation.
 
-    Best-first over maximal simplices: a coarse grid ranks them, then the
-    top ``multistarts`` get pattern-search refinement and a Nelder-Mead
-    polish.  Returns as soon as the tolerance is met; otherwise reports the
-    best point seen with ``converged=False``.
+    Preconditions: facets hold one cell per box (every board but a
+    chessboard with more rows than columns), and ``prefs`` is box-label
+    blind (the ``equivariance`` axiom, which ``solve`` validates first).
+    Then F(sigma x) = sigma F(x), zeros come in S_r orbits, and scanning one
+    facet per orbit misses none.
+
+    On every representative facet, with its corners ordered by tile so that
+    the subdivision is equivariant too, F is evaluated on the k-th
+    barycentric grid; the Freudenthal subdivision of that grid carries the
+    piecewise-linear (PL) interpolation of F, whose zeros cost no further
+    evaluations.  Simplex-secant steps refine each PL zero in turn.  When
+    none reaches the tolerance, k doubles, facets that held PL zeros first,
+    as long as the next grid fits in ``coarse_budget`` evaluations.  Returns
+    at the first point within tolerance; otherwise reports the best point
+    seen with ``converged=False``.
     """
     opts = options or SearchOptions()
-    cx = build_complex(variant)
-    facets = cx.maximal_simplices
-    parts = len(facets[0])
-    k = _coarse_denominator(len(facets), parts, opts.coarse_budget, max(4, variant.rows))
-    grid = list(_barycentric_grid(parts, k))
-
+    reps = _orbit_representatives(build_complex(variant).maximal_simplices)
+    parts = len(reps[0])
+    if parts != variant.rows:
+        raise ValueError(
+            f"facets of {variant} have {parts} cells; the PL search needs one per box"
+        )
+    k = _coarse_denominator(len(reps), parts, opts.coarse_budget, max(4, variant.rows))
     evaluations = 0
-    best = None  # (residual, facet_idx, weights, point)
+    best = (math.inf, None)  # (residual, point)
+    pl_zeros: dict[int, int] = {}  # grid denominator -> PL zeros found
+    cached = [{} for _ in reps]  # per facet: grid weights -> F
+    zeros_seen = [0] * len(reps)
 
-    def scan(idx):
-        evaluate = _Evaluator(prefs, variant, facets[idx])
-        local = None
-        for w in grid:
-            v, pt = evaluate(w)
-            if local is None or v < local[0]:
-                local = (v, w, pt)
-            if v <= opts.tolerance:
-                break
-        return idx, local, evaluate.count
+    def evaluate(cells, weights):
+        """F = column averages - 1/r at barycentric weights on one facet."""
+        nonlocal evaluations
+        evaluations += 1
+        w = np.clip(weights, 0.0, None)
+        point = point_from_barycentric(variant, cells, tuple(float(v) for v in w / w.sum()))
+        matrix = average_matrix(prefs, point)
+        return matrix.averages - 1.0 / matrix.r, matrix.residual, point
 
-    if opts.threads > 1:
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            results = list(pool.map(scan, range(len(facets))))
-    else:
-        results = []
-        for idx in range(len(facets)):
-            results.append(scan(idx))
-            v = results[-1][1][0]
-            if v <= opts.tolerance:
-                break
+    def result(converged):
+        return SearchResult(
+            best[1], best[0], converged, evaluations, len(reps), k, tuple(pl_zeros.items())
+        )
 
-    per_facet = []
-    for idx, local, count in results:
-        evaluations += count
-        per_facet.append((local[0], idx, local[1], local[2]))
-        if best is None or (local[0], idx) < (best[0], best[1]):
-            best = (local[0], idx, local[1], local[2])
-
-    if best[0] <= opts.tolerance:
-        return SearchResult(best[3], best[0], True, evaluations)
-
-    if variant.rows == 2:
-        # the complex is a circle and the signed gap F_1 - 1/2 flips sign
-        # along it, so bisection inside one edge pins the zero down exactly
-        found = _bisect_two_player(prefs, variant, facets, opts)
-        if found is not None:
-            v, pt, count = found
-            evaluations += count
-            if v < best[0]:
-                best = (v, -1, None, pt)
-            if best[0] <= opts.tolerance:
-                return SearchResult(best[3], best[0], True, evaluations)
-
-    rng = np.random.default_rng(opts.seed)
-    ranked = sorted(per_facet, key=lambda item: (item[0], item[1]))[: opts.multistarts]
-    for _, idx, w0, _ in ranked:
-        evaluate = _Evaluator(prefs, variant, facets[idx])
-        starts = [np.asarray(w0), rng.dirichlet(np.ones(parts))]
-        for w_start in starts:
-            w, v, pt = _pattern_refine(evaluate, w_start, opts.max_depth)
-            if v < best[0]:
-                best = (v, idx, w, pt)
-            if v > opts.tolerance:
-                v, pt = _polish(evaluate, w, maxfev=400 * parts)
+    while True:
+        pl_zeros[k] = 0
+        grid = np.array(list(_barycentric_grid(parts, k)))
+        # base-(k+1) codes of the grid points, which come in increasing order
+        place = (k + 1) ** np.arange(parts)[::-1]
+        codes = grid @ place
+        simplices = np.concatenate(
+            [np.searchsorted(codes, s @ place) for s in _kuhn_simplices(parts, k)]
+        )
+        # facets that held PL zeros on the coarser grid go first
+        for idx in sorted(range(len(reps)), key=lambda i: zeros_seen[i] == 0):
+            cells, cache = reps[idx], cached[idx]
+            for counts in grid:
+                key = tuple(counts / k)
+                if key not in cache:
+                    cache[key], v, point = evaluate(cells, counts / k)
+                    if v < best[0]:
+                        best = (v, point)
+                    if v <= opts.tolerance:
+                        return result(True)
+            values = np.array([cache[tuple(counts / k)] for counts in grid])
+            zeros = _pl_zeros(grid / k, values, simplices)
+            zeros_seen[idx] = len(zeros)
+            pl_zeros[k] += len(zeros)
+            for w in zeros:
+                v, point = _secant_refine(evaluate, cells, w, 1.0 / k, opts.tolerance)
                 if v < best[0]:
-                    best = (v, idx, w, pt)
-            evaluations += evaluate.count
-            evaluate.count = 0
-            if best[0] <= opts.tolerance:
-                return SearchResult(best[3], best[0], True, evaluations)
-    return SearchResult(best[3], best[0], False, evaluations)
+                    best = (v, point)
+                if v <= opts.tolerance:
+                    return result(True)
+        if len(reps) * comb(2 * k + parts - 1, parts - 1) > opts.coarse_budget:
+            return result(False)
+        k *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -567,27 +569,16 @@ class EnvyFreeDivision:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, int(n**0.5) + 1):
-        if n % p == 0:
-            return False
-    return True
+    return n >= 2 and all(n % p for p in range(2, int(n**0.5) + 1))
 
 
 def _is_prime_power(n: int) -> bool:
     if n < 2:
         return False
-    for p in range(2, n + 1):
-        if _is_prime(p):
-            m = n
-            while m % p == 0:
-                m //= p
-            if m == 1:
-                return True
-            if n % p == 0:
-                return False
-    return False
+    p = next(d for d in range(2, n + 1) if n % d == 0)  # the least prime factor
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def _hypothesis_met(variant: Variant) -> bool:
@@ -752,7 +743,8 @@ def brute_force(
     if prefs.kind != NEW:
         raise ValueError("brute force scores boxes; supply a new-style oracle")
 
-    perms = list(itertools.permutations(range(r)))
+    perms = np.array(list(itertools.permutations(range(r))))
+    players = np.arange(r)
     best_value = -1.0
     best_point = None
     best_sigma = None
@@ -770,13 +762,14 @@ def brute_force(
                 raise ResourceCapExceeded(
                     f"brute force exceeded the work cap of {work_cap} evaluations"
                 )
-            matrix = np.vstack(rows)
-            for sigma in perms:
-                value = min(float(matrix[j, sigma[j]]) for j in range(r))
-                if value > best_value:
-                    best_value = value
-                    best_point = point
-                    best_sigma = tuple(b + 1 for b in sigma)
+            # smallest assigned score of every permutation; argmax keeps the
+            # first best one in permutations() order
+            values = np.vstack(rows)[players, perms].min(axis=1)
+            top = int(values.argmax())
+            if values[top] > best_value:
+                best_value = float(values[top])
+                best_point = point
+                best_sigma = tuple(int(b) + 1 for b in perms[top])
 
     return BruteForceResult(
         feasible=best_value > PREFERENCE_TOL,

@@ -66,18 +66,20 @@ def test_solve_budget_exhaustion_exits_2(capsys, tmp_path):
     prefs = write_prefs(
         tmp_path,
         "random.json",
-        {"r": 3, "kind": "new", "model": "piecewise_random", "seed": 8},
+        {"r": 3, "kind": "new", "model": "piecewise_random", "seed": 3},
     )
     code, out = run(
         capsys,
-        [
-            "solve", "--r", "3", "--space", "c1", "--prefs", prefs,
-            "--multistarts", "0", "--max-depth", "0",
-        ],
+        ["solve", "--r", "3", "--space", "c1", "--prefs", prefs, "--coarse-budget", "100"],
     )
     assert code == 2
     payload = json.loads(out)
     assert payload["budget_exhausted"] and payload["best_residual"] > 1e-6
+    # deterministic counters of the search, only on this path
+    assert payload["orbit_representatives"] == 3
+    assert payload["denominator"] == 4
+    assert payload["pl_zeros"] == [[4, 1]]
+    assert payload["evaluations"] > 0
 
 
 def test_malformed_json_exits_4(capsys, tmp_path):

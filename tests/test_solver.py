@@ -1,10 +1,27 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from envydiv.complexes import ResourceCapExceeded, for_space, gorbushka_join, join_power
+from envydiv import solver
+from envydiv.complexes import (
+    ResourceCapExceeded,
+    build_complex,
+    chessboard,
+    for_space,
+    gorbushka_join,
+    join_power,
+)
 from envydiv.configspace import act, point_from_barycentric
-from envydiv.preferences import PREFERENCE_TOL, make_builtin, sample_config_point
-from envydiv.reductions import phi
+from envydiv.preferences import (
+    PREFERENCE_TOL,
+    PreferenceValidationError,
+    make_builtin,
+    piecewise_from_tables,
+    row_shuffled,
+    sample_config_point,
+)
+from envydiv.reductions import phi, psi
 from envydiv.solver import (
     BudgetExhausted,
     EnvyFreeDivision,
@@ -20,7 +37,14 @@ from envydiv.solver import (
     solve,
     verify_division,
 )
-from envydiv.solver import _hypothesis_met, _is_prime_power
+from envydiv.solver import (
+    _barycentric_grid,
+    _hypothesis_met,
+    _is_prime_power,
+    _kuhn_simplices,
+    _orbit_representatives,
+    _pl_zeros,
+)
 
 import oracles
 
@@ -143,12 +167,72 @@ def test_search_is_deterministic():
     assert a.point == b.point
 
 
-def test_search_threads_match_sequential_result():
-    variant = join_power(3)
-    prefs = make_builtin("burnt", 3, kind="new", variant=variant)
-    seq = search(variant, prefs, SearchOptions())
-    par = search(variant, prefs, SearchOptions(threads=4))
-    assert par.residual <= 1e-6 and seq.residual <= 1e-6
+def test_kuhn_simplices_subdivide_the_simplex():
+    for parts in (2, 3, 4, 5):
+        for k in (1, 2, 3, 4):
+            simplices = np.concatenate(list(_kuhn_simplices(parts, k, chunk=7)))
+            assert simplices.shape == (k ** (parts - 1), parts, parts)
+            assert (simplices >= 0).all() and (simplices.sum(axis=2) == k).all()
+            # every small simplex has unit volume, and none repeats
+            edges = (simplices[:, 1:, 1:] - simplices[:, :1, 1:]).astype(float)
+            assert np.allclose(np.abs(np.linalg.det(edges)), 1.0)
+            assert len({frozenset(map(tuple, s)) for s in simplices}) == len(simplices)
+            vertices = {tuple(v) for s in simplices for v in s}
+            assert vertices == set(_barycentric_grid(parts, k))
+            # and they tile: a random point lies in exactly one of them
+            corners = np.swapaxes(simplices, 1, 2).astype(float)
+            rng = np.random.default_rng(10 * parts + k)
+            for w in k * rng.dirichlet(np.ones(parts), size=20):
+                lam = np.linalg.solve(corners, np.broadcast_to(w, (len(corners), parts))[..., None])
+                assert (lam[..., 0] >= 0).all(axis=1).sum() == 1
+
+
+@pytest.mark.parametrize(
+    "space, r, reps, facets", [("c1", 4, 4, 96), ("c3", 4, 15, 256), ("c2", 3, 10, 60)]
+)
+def test_orbit_representatives_meet_every_orbit_once(space, r, reps, facets):
+    variant = for_space(space, r)
+    all_facets = build_complex(variant).maximal_simplices
+    chosen = _orbit_representatives(all_facets)
+    assert (len(chosen), len(all_facets)) == (reps, facets)
+    rep_sets = [frozenset(cells) for cells in chosen]
+    for facet in all_facets:
+        images = {
+            frozenset((sigma[box - 1], tile) for box, tile in facet)
+            for sigma in itertools.permutations(range(1, r + 1))
+        }
+        assert sum(rep in images for rep in rep_sets) == 1
+
+
+def test_pl_zero_of_an_affine_map_is_its_zero():
+    # an affine F is its own PL interpolation; the second target lies on
+    # faces shared by several small simplices and is still reported once
+    points = np.array(list(_barycentric_grid(3, 4))) / 4
+    index = {tuple(p): i for i, p in enumerate(np.round(points * 4).astype(int))}
+    simplices = np.array(
+        [[index[tuple(v)] for v in s] for s in np.concatenate(list(_kuhn_simplices(3, 4)))]
+    )
+    for target in ([0.21, 0.33, 0.46], [0.2, 0.3, 0.5]):
+        zeros = _pl_zeros(points, points - np.array(target), simplices, chunk=5)
+        assert len(zeros) == 1
+        assert np.allclose(zeros[0], target)
+
+
+def test_search_rejects_facets_with_fewer_cells_than_boxes():
+    variant = chessboard(3, 2)
+    with pytest.raises(ValueError):
+        search(variant, make_builtin("hungry", 3, kind="new", variant=variant))
+
+
+def test_search_reports_its_counters():
+    variant = gorbushka_join(4)
+    prefs = make_builtin("piecewise_random", 4, kind="new", variant=variant, seed=0)
+    result = search(variant, prefs, SearchOptions())
+    assert result.converged
+    assert result.orbit_representatives == 4
+    assert result.denominator == result.pl_zeros[-1][0]
+    assert [k for k, _ in result.pl_zeros] == [4 * 2**i for i in range(len(result.pl_zeros))]
+    assert all(count >= 1 for _, count in result.pl_zeros)
 
 
 def test_solve_requires_new_style():
@@ -157,11 +241,23 @@ def test_solve_requires_new_style():
 
 
 def test_solve_validates_preferences():
-    from envydiv.preferences import PreferenceValidationError, row_shuffled
-
     variant = gorbushka_join(3)
     broken = row_shuffled(
         make_builtin("piecewise_random", 3, kind="new", variant=variant, seed=3)
+    )
+    with pytest.raises(PreferenceValidationError):
+        solve(variant, broken)
+
+
+def test_row_shuffled_oracle_is_rejected_before_the_search(monkeypatch):
+    # the orbit reduction of the search is only sound for box-blind oracles
+    def no_search(*args, **kwargs):
+        raise AssertionError("search ran on an oracle that is not equivariant")
+
+    monkeypatch.setattr(solver, "search", no_search)
+    variant = gorbushka_join(4)
+    broken = row_shuffled(
+        make_builtin("piecewise_random", 4, kind="new", variant=variant, seed=1)
     )
     with pytest.raises(PreferenceValidationError):
         solve(variant, broken)
@@ -187,12 +283,59 @@ def test_solve_leaves_an_unbound_oracle_unbound():
 
 
 def test_solve_reports_budget_exhaustion():
+    # a budget of 100 evaluations admits only the k=4 grid (3 facets x 15
+    # points); its one PL zero refines to a residual of about 4e-3 only
     variant = gorbushka_join(3)
-    prefs = make_builtin("piecewise_random", 3, kind="new", variant=variant, seed=8)
+    prefs = make_builtin("piecewise_random", 3, kind="new", variant=variant, seed=3)
     with pytest.raises(BudgetExhausted) as err:
-        solve(variant, prefs, SearchOptions(multistarts=0, max_depth=0))
-    assert err.value.best is not None
-    assert err.value.best.residual > 1e-6
+        solve(variant, prefs, SearchOptions(coarse_budget=100))
+    best = err.value.best
+    assert best is not None and not best.converged
+    assert best.residual > 1e-6
+    assert best.denominator == 4 and best.orbit_representatives == 3
+
+
+# c1 is guaranteed for r prime or 4, c2 and c3 for prime powers
+GUARANTEED = [("c1", 2), ("c1", 3), ("c1", 4), ("c1", 5), ("c2", 2), ("c2", 3),
+              ("c3", 2), ("c3", 3), ("c3", 4)]
+
+
+@pytest.mark.parametrize("space, r", GUARANTEED)
+def test_solve_converges_on_random_oracles_where_guaranteed(space, r):
+    variant = for_space(space, r)
+    for seed in range(8):
+        prefs = make_builtin("piecewise_random", r, kind="new", variant=variant, seed=seed)
+        division = solve(variant, prefs)
+        assert division.residual <= 1e-6, seed
+        assert verify_division(division, prefs)
+
+
+def test_solve_c1_r5_random_seed_2():
+    # this oracle once exhausted a budget of 744,950 oracle calls
+    variant = gorbushka_join(5)
+    prefs = make_builtin("piecewise_random", 5, kind="new", variant=variant, seed=2)
+    division = solve(variant, prefs)
+    assert division.residual <= 1e-6
+    assert verify_division(division, prefs)
+
+
+def test_solve_psi_lift_of_random_tables():
+    # tables that are zero up to epsilon and positive above it; this lift
+    # once stopped at a best residual of 4.4e-5
+    epsilon = 0.02
+    rng = np.random.default_rng(0)
+    xs = [0.0, epsilon] + [i / 6 for i in range(1, 7)]
+    tables = {
+        player: {
+            tile: [[x, 0.0 if x <= epsilon else float(rng.uniform(0.2, 1.0))] for x in xs]
+            for tile in range(1, 4)
+        }
+        for player in range(1, 4)
+    }
+    lifted = psi(piecewise_from_tables(3, tables), epsilon)
+    division = solve(gorbushka_join(3), lifted)
+    assert division.residual <= 1e-6
+    assert verify_division(division, lifted)
 
 
 def test_hypothesis_helpers():
@@ -283,12 +426,15 @@ def test_zero_residual_bounds_column_sums():
         assert ((cols >= 1 - r * tol - 1e-12) & (cols <= 1 + r * tol + 1e-12)).all()
 
 
-def test_deeper_refinement_never_worsens_residual():
+def test_larger_coarse_budget_never_worsens_residual():
     variant = gorbushka_join(3)
-    prefs = make_builtin("piecewise_random", 3, kind="new", variant=variant, seed=8)
-    shallow = search(variant, prefs, SearchOptions(max_depth=1, multistarts=4))
-    deep = search(variant, prefs, SearchOptions(max_depth=12, multistarts=4))
-    assert deep.residual <= shallow.residual
+    prefs = make_builtin("piecewise_random", 3, kind="new", variant=variant, seed=3)
+    residuals = [
+        search(variant, prefs, SearchOptions(coarse_budget=budget)).residual
+        for budget in (45, 135, 459, 200_000)
+    ]
+    assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+    assert residuals[-1] <= 1e-6 < residuals[0]
 
 
 def test_average_matrix_uniform_hungry_point():

@@ -22,11 +22,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from pathlib import Path
 
 Cell = tuple[int, int]
 Simplex = tuple[Cell, ...]
@@ -34,8 +31,6 @@ Simplex = tuple[Cell, ...]
 CHESSBOARD = "chessboard"
 GORBUSHKA_JOIN = "gorbushka_join"
 JOIN_POWER = "join_power"
-
-CACHE_ENV_VAR = "ENVYDIV_CACHE_DIR"
 
 #: default cap for a homology computation: it bounds the total face count,
 #: and the entries (rows x columns) of each dense block left over after
@@ -214,42 +209,17 @@ class SimplicialComplex:
         }
 
 
-def _cache_path(variant: Variant, cache_dir) -> Path | None:
-    if not cache_dir:
-        return None
-    return Path(cache_dir) / f"{variant.kind}_{variant.rows}x{variant.cols}.json"
-
-
-def build_complex(variant: Variant, cache_dir=None) -> SimplicialComplex:
+@lru_cache(maxsize=64)
+def build_complex(variant: Variant) -> SimplicialComplex:
     """Enumerate the complex for a variant, memoized per process.
 
-    Maximal simplices are generated by backtracking over columns and cached
-    on the returned object; the enumeration order is deterministic and other
-    modules rely on it for reproducible searches.  With ``cache_dir`` (or
-    the ENVYDIV_CACHE_DIR environment variable) set, the enumeration is also
-    persisted as JSON on disk.
+    Maximal simplices come from the variant's facet generator (itertools
+    permutations and products over the tiles) and are cached on the
+    returned object; the enumeration order is deterministic and other
+    modules rely on it for reproducible searches.
     """
-    directory = cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV_VAR)
-    return _build_memoized(variant, str(directory) if directory else None)
-
-
-@lru_cache(maxsize=64)
-def _build_memoized(variant: Variant, cache_dir: str | None) -> SimplicialComplex:
-    path = _cache_path(variant, cache_dir)
-    if path is not None and path.exists():
-        data = json.loads(path.read_text())
-        if data.get("variant") == variant.to_json():
-            facets = tuple(
-                tuple(tuple(c) for c in s) for s in data["maximal_simplices"]
-            )
-            return SimplicialComplex(variant, variant.cells(), facets)
-
     facets = tuple(_FACET_GENERATORS[variant.kind](variant))
-    cx = SimplicialComplex(variant, variant.cells(), facets)
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(cx.to_json(), sort_keys=True))
-    return cx
+    return SimplicialComplex(variant, variant.cells(), facets)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ Built-in models:
 * ``piecewise_random`` -- seeded piecewise-linear scores with a positive
   floor, covering and box-label-blind by construction.
 
-Oracles must be pure and deterministic per (player, point); the solver may
-evaluate them from many workers at once.  Validation is statistical
-(seeded sampling) and can only falsify a property, never prove it; in
-particular closedness of preferred sets has no finite certificate for a
-black-box oracle, so the ``continuity`` check is a documented heuristic
-stand-in.
+Oracles must be pure and deterministic per (player, point): the solver
+evaluates them one at a time, in one thread, and reuses the averages it
+computed at a grid point instead of asking again.  Validation is
+statistical (seeded sampling) and can only falsify a property, never prove
+it; in particular closedness of preferred sets has no finite certificate
+for a black-box oracle, so the ``continuity`` check is a documented
+heuristic stand-in.
 """
 
 from __future__ import annotations

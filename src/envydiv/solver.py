@@ -26,7 +26,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -133,62 +133,56 @@ def average_matrix(prefs: PreferenceMatrix, point: ConfigPoint) -> StochasticMat
 
 
 # ---------------------------------------------------------------------------
-# matchings and Birkhoff decomposition
+# assignments and Birkhoff decomposition
 
 
-def _kuhn_matching(adjacency: list[list[int]], n_boxes: int | None = None) -> list[int] | None:
-    """Perfect matching players -> boxes by augmenting paths; None if absent."""
-    r = len(adjacency)
-    if n_boxes is None:
-        n_boxes = max((max(row) + 1 for row in adjacency if row), default=r)
-        n_boxes = max(n_boxes, r)
-    box_owner = [-1] * n_boxes
-
-    def assign(player, seen):
-        for box in adjacency[player]:
-            if not seen[box]:
-                seen[box] = True
-                if box_owner[box] < 0 or assign(box_owner[box], seen):
-                    box_owner[box] = player
-                    return True
-        return False
-
-    for player in range(r):
-        if not assign(player, [False] * n_boxes):
-            return None
-    out = [-1] * r
-    for box, player in enumerate(box_owner):
-        if player >= 0:
-            out[player] = box
-    return out
+#: the assignment helpers tabulate all r! permutations, r! * r entries, so
+#: they stop at this many players (8! * 8 = 322,560 entries)
+MAX_ASSIGNMENT_PLAYERS = 8
 
 
-def _adjacency(ok: np.ndarray) -> list[list[int]]:
-    return [[b for b in range(ok.shape[1]) if ok[p, b]] for p in range(ok.shape[0])]
+@lru_cache(maxsize=None)
+def _permutation_table(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r! permutations of range(r) in lexicographic order, one per row,
+    and the same table as flat indices into an r x r matrix."""
+    if r > MAX_ASSIGNMENT_PLAYERS:
+        raise ResourceCapExceeded(
+            f"assignments are tabulated for at most {MAX_ASSIGNMENT_PLAYERS} players, got {r}"
+        )
+    perms = np.array(list(itertools.permutations(range(r))))
+    return perms, perms + r * np.arange(r)
 
 
-def _lex_least_matching(ok: np.ndarray) -> tuple[int, ...] | None:
-    """Lexicographically least perfect matching on an admissibility mask."""
-    r = ok.shape[0]
-    if _kuhn_matching(_adjacency(ok)) is None:
-        return None
-    chosen: list[int] = []
-    used: set[int] = set()
-    for player in range(r):
-        for box in range(r):
-            if box in used or not ok[player, box]:
-                continue
-            rest = [
-                [b for b in range(r) if ok[p, b] and b not in used and b != box]
-                for p in range(player + 1, r)
-            ]
-            if _kuhn_matching(rest) is not None or player == r - 1:
-                chosen.append(box)
-                used.add(box)
-                break
-        else:
-            return None
-    return tuple(chosen)
+def _assigned_scores(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation table, and the entry each permutation hands each player.
+
+    Row i of both arrays belongs to the i-th permutation in lexicographic
+    order, so the first qualifying row is the lex-least qualifying
+    permutation.
+    """
+    perms, flat = _permutation_table(len(entries))
+    return perms, entries.take(flat)
+
+
+def _first_above(entries: np.ndarray, threshold: float) -> np.ndarray | None:
+    """Lex-least permutation handing every player more than ``threshold``."""
+    perms, assigned = _assigned_scores(entries)
+    ok = (assigned > threshold).all(axis=1)
+    first = int(ok.argmax())
+    return perms[first] if ok[first] else None
+
+
+def _max_min(entries: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest smallest-assigned score over all permutations, and the
+    lex-least permutation reaching it."""
+    perms, assigned = _assigned_scores(entries)
+    worst = assigned.min(axis=1)
+    best = int(worst.argmax())  # the first maximum: lex-least on ties
+    return float(worst[best]), perms[best]
+
+
+def _one_based(perm: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(b) + 1 for b in perm)
 
 
 def extract_assignment(matrix: StochasticMatrix, tol: float = 1e-6) -> tuple[int, ...]:
@@ -201,32 +195,21 @@ def extract_assignment(matrix: StochasticMatrix, tol: float = 1e-6) -> tuple[int
         raise ValueError(
             f"residual {matrix.residual:.3g} exceeds tolerance {tol:.3g}"
         )
-    match = _lex_least_matching(matrix.entries > PREFERENCE_TOL)
+    match = _first_above(matrix.entries, PREFERENCE_TOL)
     if match is None:
         raise MatchingError(
             "no perfect matching on positive entries; the residual tolerance "
             "was too loose -- tighten it and search again"
         )
-    return tuple(b + 1 for b in match)
+    return _one_based(match)
 
 
 def bottleneck_assignment(matrix: StochasticMatrix) -> tuple[int, ...]:
     """Permutation maximizing the smallest assigned score, lex-least on ties."""
-    e = matrix.entries
-    levels = sorted(set(float(v) for v in e.flatten()))
-    feasible_level = None
-    lo, hi = 0, len(levels) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if _kuhn_matching(_adjacency(e >= levels[mid])) is not None:
-            feasible_level = levels[mid]
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    if feasible_level is None or feasible_level <= PREFERENCE_TOL:
+    value, perm = _max_min(matrix.entries)
+    if value <= PREFERENCE_TOL:
         raise MatchingError("no assignment with all scores above the preference threshold")
-    match = _lex_least_matching(e >= feasible_level)
-    return tuple(b + 1 for b in match)
+    return _one_based(perm)
 
 
 @dataclass(frozen=True)
@@ -274,8 +257,8 @@ def _prune_affine_dependency(weights, perms, r):
 def birkhoff(matrix: StochasticMatrix, tol: float = 1e-6) -> BirkhoffDecomposition:
     """Greedy peeling into permutations, bounded to (r-1)^2 + 1 terms.
 
-    Each round finds the lex-least perfect matching on the positive support
-    and subtracts the smallest matched entry.  If peeling leaves more terms
+    Each round takes the lex-least permutation inside the positive support
+    and subtracts the smallest entry it picks.  If peeling leaves more terms
     than the bound, affinely dependent terms are merged away.
     """
     if matrix.residual > tol:
@@ -287,7 +270,7 @@ def birkhoff(matrix: StochasticMatrix, tol: float = 1e-6) -> BirkhoffDecompositi
     for _ in range(r * r + 1):
         if a.max() <= 1e-11:
             break
-        match = _lex_least_matching(a > 1e-12)
+        match = _first_above(a, 1e-12)
         if match is None:
             if a.max() > 10 * max(tol, 1e-9):
                 raise MatchingError(
@@ -299,7 +282,7 @@ def birkhoff(matrix: StochasticMatrix, tol: float = 1e-6) -> BirkhoffDecompositi
         if w <= 0.0:
             break
         weights.append(w)
-        perms.append(tuple(b + 1 for b in match))
+        perms.append(_one_based(match))
         for p in range(r):
             a[p, match[p]] -= w
         np.clip(a, 0.0, None, out=a)
@@ -743,8 +726,6 @@ def brute_force(
     if prefs.kind != NEW:
         raise ValueError("brute force scores boxes; supply a new-style oracle")
 
-    perms = np.array(list(itertools.permutations(range(r))))
-    players = np.arange(r)
     best_value = -1.0
     best_point = None
     best_sigma = None
@@ -762,14 +743,11 @@ def brute_force(
                 raise ResourceCapExceeded(
                     f"brute force exceeded the work cap of {work_cap} evaluations"
                 )
-            # smallest assigned score of every permutation; argmax keeps the
-            # first best one in permutations() order
-            values = np.vstack(rows)[players, perms].min(axis=1)
-            top = int(values.argmax())
-            if values[top] > best_value:
-                best_value = float(values[top])
+            value, perm = _max_min(np.vstack(rows))
+            if value > best_value:
+                best_value = value
                 best_point = point
-                best_sigma = tuple(int(b) + 1 for b in perms[top])
+                best_sigma = _one_based(perm)
 
     return BruteForceResult(
         feasible=best_value > PREFERENCE_TOL,

@@ -125,12 +125,23 @@ def reduced_betti_rational(facets) -> list[int]:
     return [len(by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1)]
 
 
-def min_assigned_by_enumeration(matrix):
-    """Best bottleneck value over all assignment permutations."""
+def lex_least_bottleneck(matrix):
+    """First permutation (0-based boxes), scanning all r! in lexicographic
+    order, whose smallest assigned score is the largest; with that score."""
     r = len(matrix)
-    best = None
+    best, best_sigma = None, None
     for sigma in itertools.permutations(range(r)):
         value = min(matrix[j][sigma[j]] for j in range(r))
         if best is None or value > best:
-            best = value
-    return best
+            best, best_sigma = value, sigma
+    return best_sigma, best
+
+
+def lex_least_above(matrix, threshold):
+    """First permutation in lexicographic order handing every player more
+    than ``threshold``, or None."""
+    r = len(matrix)
+    for sigma in itertools.permutations(range(r)):
+        if all(matrix[j][sigma[j]] > threshold for j in range(r)):
+            return sigma
+    return None

@@ -276,29 +276,9 @@ def test_pseudomanifold_rejects_mixed_dimension():
         is_pseudomanifold(cx)
 
 
-def test_complex_cache_roundtrip(tmp_path):
-    variant = chessboard(3, 3)
-    first = build_complex(variant, cache_dir=tmp_path)
-    assert (tmp_path / "chessboard_3x3.json").exists()
-    second = build_complex(variant, cache_dir=tmp_path)
-    assert first.maximal_simplices == second.maximal_simplices
-
-
 def test_complex_json_shape():
     cx = build_complex(gorbushka_join(2))
     doc = cx.to_json()
     assert doc["variant"] == {"kind": "gorbushka_join", "rows": 2, "cols": 2}
     assert sorted(map(tuple, doc["vertices"])) == [(1, 1), (1, 2), (2, 1), (2, 2)]
     assert len(doc["maximal_simplices"]) == 4
-
-
-def test_env_var_cache_dir(tmp_path, monkeypatch):
-    from envydiv.complexes import _build_memoized
-
-    monkeypatch.setenv("ENVYDIV_CACHE_DIR", str(tmp_path))
-    _build_memoized.cache_clear()
-    cx = build_complex(chessboard(2, 2))
-    assert (tmp_path / "chessboard_2x2.json").exists()
-    assert len(cx.maximal_simplices) == 2
-    monkeypatch.delenv("ENVYDIV_CACHE_DIR")
-    _build_memoized.cache_clear()

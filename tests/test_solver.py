@@ -123,7 +123,7 @@ def test_bottleneck_assignment_maximizes_min_score():
         m = StochasticMatrix(random_doubly_stochastic(rng, 4))
         assignment = bottleneck_assignment(m)
         got = min(m.entries[j, assignment[j] - 1] for j in range(4))
-        best = oracles.min_assigned_by_enumeration(m.entries.tolist())
+        _, best = oracles.lex_least_bottleneck(m.entries.tolist())
         assert got == pytest.approx(best, abs=1e-12)
 
 
@@ -156,6 +156,57 @@ def test_birkhoff_random_mixes(r):
         assert np.abs(decomposition.reconstruct() - m.entries).max() <= 1e-9
         assert sum(w for w, _ in decomposition.terms) == pytest.approx(1.0, abs=1e-9)
         assert all(w > 0 for w, _ in decomposition.terms)
+
+
+def thirds_mix(rng, r):
+    """Three random permutation matrices at weight 1/3 each: doubly
+    stochastic, entries in {0, 1/3, 2/3, 1}, so ties and zeros abound."""
+    out = np.zeros((r, r))
+    for _ in range(3):
+        out[np.arange(r), rng.permutation(r)] += 1 / 3
+    return out
+
+
+def thirds_rows(rng, r):
+    """Rows of three random thirds each: row stochastic only."""
+    out = np.zeros((r, r))
+    for row in out:
+        np.add.at(row, rng.integers(r, size=3), 1 / 3)
+    return out
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_assignments_are_lex_least(r):
+    rng = np.random.default_rng(200 + r)
+    uniform = np.full((r, r), 1 / r)
+    assert bottleneck_assignment(StochasticMatrix(uniform)) == tuple(range(1, r + 1))
+    assert extract_assignment(StochasticMatrix(uniform)) == tuple(range(1, r + 1))
+    for entries in [thirds_mix(rng, r) for _ in range(30)]:
+        m = StochasticMatrix(entries)
+        sigma, _ = oracles.lex_least_bottleneck(entries.tolist())
+        assert bottleneck_assignment(m) == tuple(b + 1 for b in sigma)
+        sigma = oracles.lex_least_above(entries.tolist(), PREFERENCE_TOL)
+        assert extract_assignment(m) == tuple(b + 1 for b in sigma)
+    for entries in [thirds_rows(rng, r) for _ in range(30)]:
+        sigma, value = oracles.lex_least_bottleneck(entries.tolist())
+        if value <= PREFERENCE_TOL:
+            with pytest.raises(MatchingError):
+                bottleneck_assignment(StochasticMatrix(entries))
+        else:
+            assert bottleneck_assignment(StochasticMatrix(entries)) == tuple(b + 1 for b in sigma)
+
+
+def test_assignments_stop_at_eight_players():
+    nine = StochasticMatrix(np.full((9, 9), 1 / 9))
+    for assign in (extract_assignment, bottleneck_assignment, birkhoff):
+        with pytest.raises(ResourceCapExceeded):
+            assign(nine)
+    rng = np.random.default_rng(8)
+    eight = np.zeros((8, 8))
+    for w in (0.5, 0.3, 0.2):
+        eight[np.arange(8), rng.permutation(8)] += w
+    decomposition = birkhoff(StochasticMatrix(eight))
+    assert np.abs(decomposition.reconstruct() - eight).max() <= 1e-9
 
 
 def test_search_is_deterministic():

@@ -58,7 +58,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
 def _cmd_brute(args) -> tuple[dict, int]:
     variant = complexes.for_space(args.space, args.r)
     prefs = _load_prefs(args)
-    result = solver.brute_force(variant, prefs, args.grid)
+    result = solver.brute_force(variant, prefs, args.grid, seed=args.seed)
     return result.to_json(), EXIT_OK
 
 

@@ -370,17 +370,27 @@ def _pl_zeros(points: np.ndarray, values: np.ndarray, simplices: np.ndarray, chu
     return zeros[np.sort(first)]
 
 
-def _orbit_representatives(facets) -> list[tuple[Cell, ...]]:
-    """One facet per box-relabelling orbit, cells ordered by tile.
+def _is_canonical(boxes) -> bool:
+    """True when the boxes, read in order, first appear as 1, 2, 3, ...
 
-    A facet is the representative of its orbit when, read tile by tile, its
-    boxes first appear in the order 1, 2, 3, ...
+    Such a sequence is the lexicographically least of its box-relabelling
+    orbit, and every orbit holds exactly one.
     """
+    used = 0
+    for box in boxes:
+        if box > used + 1:
+            return False
+        used = max(used, box)
+    return True
+
+
+def _orbit_representatives(facets) -> list[tuple[Cell, ...]]:
+    """One facet per box-relabelling orbit, cells ordered by tile: the one
+    whose boxes, read tile by tile, are canonical."""
     reps = []
     for facet in facets:
         cells = tuple(sorted(facet, key=lambda cell: cell[1]))
-        boxes = list(dict.fromkeys(box for box, _ in cells))
-        if boxes == list(range(1, len(boxes) + 1)):
+        if _is_canonical(box for box, _ in cells):
             reps.append(cells)
     return reps
 
@@ -571,6 +581,31 @@ def _hypothesis_met(variant: Variant) -> bool:
     return _is_prime_power(r)
 
 
+def _checked_oracle(
+    variant: Variant, prefs: PreferenceMatrix, properties: tuple[str, ...], seed: int
+) -> PreferenceMatrix:
+    """The oracle bound to ``variant``, after ``properties`` passed 200
+    samples each of ``validate`` seeded with ``seed``.
+
+    An unbound oracle is bound on a copy, and one bound to another board is
+    rejected; either way the caller's oracle is left as it was.
+    """
+    if prefs.kind != NEW:
+        raise ValueError("the solver needs a new-style oracle; lift tile-level preferences first")
+    if prefs.variant is None:
+        prefs = dataclasses.replace(prefs, variant=variant)
+    elif prefs.variant != variant:
+        raise ValueError(f"oracle is bound to {prefs.variant}, not to {variant}")
+    for prop in properties:
+        report = validate(prefs, prop, sample_count=200, seed=seed)
+        if not report.passed:
+            raise PreferenceValidationError(
+                f"preferences fail {prop}: {len(report.violations)} violations in "
+                f"{report.samples} samples"
+            )
+    return prefs
+
+
 def solve(
     variant: Variant,
     prefs: PreferenceMatrix,
@@ -586,21 +621,8 @@ def solve(
     never claimed, only budget exhaustion.
     """
     opts = options or SearchOptions()
-    if prefs.kind != NEW:
-        raise ValueError("the solver needs a new-style oracle; lift tile-level preferences first")
-    if prefs.variant is None:
-        prefs = dataclasses.replace(prefs, variant=variant)
-    elif prefs.variant != variant:
-        raise ValueError(f"oracle is bound to {prefs.variant}, asked to solve {variant}")
-
-    if validate_prefs:
-        for prop in ("covering", "equivariance"):
-            report = validate(prefs, prop, sample_count=200, seed=opts.seed)
-            if not report.passed:
-                raise PreferenceValidationError(
-                    f"preferences fail {prop}: {len(report.violations)} violations in "
-                    f"{report.samples} samples"
-                )
+    properties = ("covering", "equivariance") if validate_prefs else ()
+    prefs = _checked_oracle(variant, prefs, properties, opts.seed)
 
     if not _hypothesis_met(variant):
         logger.warning(
@@ -667,27 +689,31 @@ class BruteForceResult:
         }
 
 
-def _admissible_allocations(variant: Variant, essential: tuple[int, ...]):
-    boxes = range(1, variant.rows + 1)
+def _canonical_allocations(variant: Variant, essential: tuple[int, ...]):
+    """The admissible allocations of the essential tiles whose boxes, read
+    tile by tile, are canonical: one per box-relabelling orbit, in
+    lexicographic order of their boxes.
+
+    A tile takes an existing box only where the board lets tiles share one
+    (every tile of a join power, the last tile of a gorbushka join, none on
+    a chessboard); otherwise it takes the next new box, while one is left.
+    """
     if variant.kind == JOIN_POWER:
-        for combo in itertools.product(boxes, repeat=len(essential)):
-            yield dict(zip(essential, combo))
+        shared = set(essential)
     elif variant.kind == CHESSBOARD:
-        for combo in itertools.permutations(boxes, len(essential)):
-            yield dict(zip(essential, combo))
-    else:  # gorbushka join: last tile may share, everything else is injective
-        last = variant.cols
-        others = tuple(t for t in essential if t != last)
-        if len(others) == len(essential):
-            for combo in itertools.permutations(boxes, len(others)):
-                yield dict(zip(others, combo))
-        else:
-            for combo in itertools.permutations(boxes, len(others)):
-                base = dict(zip(others, combo))
-                for b in boxes:
-                    alloc = dict(base)
-                    alloc[last] = b
-                    yield alloc
+        shared = set()
+    else:
+        shared = {variant.cols}
+
+    def grow(boxes, used):
+        if len(boxes) == len(essential):
+            yield dict(zip(essential, boxes))
+            return
+        tile = essential[len(boxes)]
+        for box in range(1 if tile in shared else used + 1, min(used + 1, variant.rows) + 1):
+            yield from grow(boxes + (box,), max(used, box))
+
+    yield from grow((), 0)
 
 
 def _grid_cuts(variant: Variant, grid_resolution: int):
@@ -711,20 +737,28 @@ def brute_force(
     prefs: PreferenceMatrix,
     grid_resolution: int = 31,
     work_cap: int = 3_000_000,
+    seed: int = 0,
 ) -> BruteForceResult:
     """Exhaustive max-min scan over grid cuts, allocations and assignments.
 
     Independent of the residual search: it never averages, it simply
     maximizes the smallest assigned score.  Infeasibility on the scanned
     set is certified by ``max_min_score <= PREFERENCE_TOL``.
+
+    Precondition: ``prefs`` is box-label blind (the ``equivariance`` axiom,
+    validated first on 200 samples seeded with ``seed``).  Relabelling the
+    boxes then permutes the columns of the score matrix and leaves its
+    max-min unchanged, so each grid cut scores one allocation per
+    box-relabelling orbit, the first of its orbit in lexicographic order.
+    The first strict maximum is therefore the one a scan of every
+    allocation would report, and ``evaluated`` counts the points scored.
     """
     r = variant.rows
-    if r > 4:
-        raise ResourceCapExceeded("brute force supports at most 4 players")
+    if r > 5:
+        raise ResourceCapExceeded("brute force supports at most 5 players")
     if not 2 <= grid_resolution <= 64:
         raise ResourceCapExceeded("grid resolution must lie in 2..64")
-    if prefs.kind != NEW:
-        raise ValueError("brute force scores boxes; supply a new-style oracle")
+    prefs = _checked_oracle(variant, prefs, ("equivariance",), seed)
 
     best_value = -1.0
     best_point = None
@@ -735,7 +769,7 @@ def brute_force(
         essential = tuple(
             label for label, length in enumerate(cut.lengths, start=1) if length > 1e-9
         )
-        for alloc in _admissible_allocations(variant, essential):
+        for alloc in _canonical_allocations(variant, essential):
             point = canonicalize(cut, alloc, variant)
             rows = [scores(prefs, j, point) for j in range(1, r + 1)]
             evaluated += 1

@@ -2,7 +2,8 @@
 
 Everything here recomputes results from first principles: exhaustive
 subset enumeration instead of backtracking, rational Gaussian elimination
-instead of integer normal forms.  Keep this module free of clever reuse of
+instead of integer normal forms, every allocation instead of one per
+box-relabelling orbit.  Keep this module free of clever reuse of
 the code under test.
 """
 
@@ -10,6 +11,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
+
+from envydiv.configspace import canonicalize
+from envydiv.preferences import PREFERENCE_TOL, scores
+from envydiv.solver import BruteForceResult, _grid_cuts
 
 
 def non_attacking(cells) -> bool:
@@ -145,3 +152,43 @@ def lex_least_above(matrix, threshold):
         if all(matrix[j][sigma[j]] > threshold for j in range(r)):
             return sigma
     return None
+
+
+def all_allocations(variant, essential):
+    """Every admissible allocation of the essential tiles, in lexicographic
+    order of their boxes read tile by tile: injective on a chessboard, free
+    on a join power, and on a gorbushka join injective except that the last
+    tile may share a box."""
+    boxes = range(1, variant.rows + 1)
+    if variant.kind == "join_power":
+        combos = itertools.product(boxes, repeat=len(essential))
+    elif variant.kind == "chessboard" or variant.cols not in essential:
+        combos = itertools.permutations(boxes, len(essential))
+    else:
+        combos = (
+            combo + (b,)
+            for combo in itertools.permutations(boxes, len(essential) - 1)
+            for b in boxes
+        )
+    for combo in combos:
+        yield dict(zip(essential, combo))
+
+
+def full_brute_scan(variant, prefs, grid_resolution):
+    """JSON of the max-min scan over every admissible allocation of every
+    grid cut, with no orbit reduction and no validation; the first strict
+    maximum wins, with the lex-least permutation reaching it."""
+    best_value, best_point, best_sigma, evaluated = -1.0, None, None, 0
+    for cut in _grid_cuts(variant, grid_resolution):
+        essential = tuple(i for i, length in enumerate(cut.lengths, start=1) if length > 1e-9)
+        for alloc in all_allocations(variant, essential):
+            point = canonicalize(cut, alloc, variant)
+            matrix = np.vstack([scores(prefs, j, point) for j in range(1, prefs.r + 1)])
+            evaluated += 1
+            sigma, value = lex_least_bottleneck(matrix)
+            if value > best_value:
+                best_value, best_point, best_sigma = value, point, tuple(b + 1 for b in sigma)
+    return BruteForceResult(
+        best_value > PREFERENCE_TOL, float(best_value), best_point, best_sigma,
+        grid_resolution, evaluated,
+    ).to_json()

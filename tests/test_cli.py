@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from envydiv import preferences
 from envydiv.cli import main
+from envydiv.preferences import row_shuffled
 
 
 def run(capsys, argv):
@@ -151,6 +153,18 @@ def test_brute_certificate(capsys, tmp_path):
     assert payload["feasible"] is False
     assert payload["grid_resolution"] == 21
     assert payload["max_min_score"] <= 1e-9
+
+
+def test_brute_row_shuffled_oracle_exits_3(capsys, tmp_path, monkeypatch):
+    # no preference file describes a relabelled oracle, so shuffle the loaded one
+    load = preferences.load_preference_file
+    monkeypatch.setattr(
+        preferences, "load_preference_file", lambda *a, **kw: row_shuffled(load(*a, **kw))
+    )
+    prefs = write_prefs(tmp_path, "random.json", {"r": 3, "kind": "new", "model": "piecewise_random"})
+    code, out = run(capsys, ["brute", "--r", "3", "--space", "c1", "--prefs", prefs, "--grid", "7"])
+    assert code == 3
+    assert json.loads(out)["validation_failed"]
 
 
 def test_validate_command(capsys, tmp_path, hungry_new):

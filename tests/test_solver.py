@@ -14,6 +14,7 @@ from envydiv.complexes import (
 )
 from envydiv.configspace import act, point_from_barycentric
 from envydiv.preferences import (
+    BUILTIN_MODELS,
     PREFERENCE_TOL,
     PreferenceValidationError,
     make_builtin,
@@ -39,7 +40,9 @@ from envydiv.solver import (
 )
 from envydiv.solver import (
     _barycentric_grid,
+    _canonical_allocations,
     _hypothesis_met,
+    _is_canonical,
     _is_prime_power,
     _kuhn_simplices,
     _orbit_representatives,
@@ -447,13 +450,83 @@ def test_brute_force_c2_embedding():
 
 
 def test_brute_force_resource_caps():
-    variant = gorbushka_join(5)
-    prefs = make_builtin("hungry", 5, kind="new", variant=variant)
+    variant = gorbushka_join(6)
+    prefs = make_builtin("hungry", 6, kind="new", variant=variant)
     with pytest.raises(ResourceCapExceeded):
         brute_force(variant, prefs, 11)
     small = make_builtin("hungry", 2, kind="new", variant=gorbushka_join(2))
     with pytest.raises(ResourceCapExceeded):
         brute_force(gorbushka_join(2), small, 65)
+
+
+@pytest.mark.parametrize("space", ["c1", "c2", "c3"])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_canonical_allocations_are_the_filtered_enumeration(space, r):
+    variant = for_space(space, r)
+    relabellings = list(itertools.permutations(range(1, r + 1)))
+    for size in range(1, variant.cols + 1):
+        for essential in itertools.combinations(range(1, variant.cols + 1), size):
+            expected = [
+                list(alloc.items())
+                for alloc in oracles.all_allocations(variant, essential)
+                if _is_canonical(alloc.values())
+            ]
+            direct = [list(alloc.items()) for alloc in _canonical_allocations(variant, essential)]
+            assert direct == expected, essential
+            # each is the lexicographically least of its box-relabelling orbit
+            for alloc in direct:
+                boxes = tuple(box for _, box in alloc)
+                assert boxes == min(tuple(s[b - 1] for b in boxes) for s in relabellings)
+
+
+BRUTE_EQUIVALENCE = [("c1", r) for r in (2, 3, 4)] + [("c2", r) for r in (2, 3)] + [
+    ("c3", r) for r in (2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("space, r", BRUTE_EQUIVALENCE)
+def test_brute_force_orbit_scan_matches_the_full_scan(space, r):
+    # the first strict maximum of the full scan is the first of its orbit,
+    # so the orbit scan reports the same point, value and assignment
+    variant = for_space(space, r)
+    for model in BUILTIN_MODELS:
+        prefs = make_builtin(model, r, kind="new", variant=variant, seed=0)
+        orbits = brute_force(variant, prefs, 7).to_json()
+        full = oracles.full_brute_scan(variant, prefs, 7)
+        assert orbits.pop("evaluated") < full.pop("evaluated")
+        assert orbits == full, model
+
+
+@pytest.mark.parametrize(
+    "r, grids", [(4, {"c1": 9, "c2": 7, "c3": 7}), (5, {"c1": 9, "c2": 7, "c3": 7})]
+)
+def test_brute_force_agrees_with_solve_up_to_five_players(r, grids):
+    for space, grid in grids.items():
+        variant = for_space(space, r)
+        prefs = make_builtin("piecewise_random", r, kind="new", variant=variant, seed=0)
+        division = solve(variant, prefs)
+        result = brute_force(variant, prefs, grid)
+        assert result.feasible
+        assert abs(result.max_min_score - division.min_assigned_score()) <= 0.05, space
+
+
+def test_brute_force_rejects_a_row_shuffled_oracle():
+    variant = gorbushka_join(3)
+    broken = row_shuffled(make_builtin("piecewise_random", 3, kind="new", variant=variant))
+    with pytest.raises(PreferenceValidationError):
+        brute_force(variant, broken, 7)
+
+
+def test_brute_force_binds_or_rejects_the_oracle_board():
+    bound = make_builtin("piecewise_random", 3, kind="new", variant=gorbushka_join(3))
+    with pytest.raises(ValueError, match="bound to"):
+        brute_force(join_power(3), bound, 7)
+    unbound = make_builtin("hungry", 3, kind="new", variant=join_power(3))
+    unbound.variant = None
+    assert brute_force(join_power(3), unbound, 7).feasible
+    assert unbound.variant is None
+    with pytest.raises(ValueError, match="new-style"):
+        brute_force(gorbushka_join(3), make_builtin("hungry", 3), 7)
 
 
 def test_division_json_fields():

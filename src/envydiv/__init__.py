@@ -31,6 +31,7 @@ from .preferences import (
     ValidationReport,
     load_preference_file,
     make_builtin,
+    score_matrix,
     scores,
     validate,
 )

@@ -8,7 +8,10 @@ the same canonical point.  Canonical points correspond one-to-one with
 weighted faces of the variant's complex: cell (box, tile) carries the tile's
 length as barycentric weight.
 
-All types are immutable values and every operation is pure.
+All types are immutable values and every operation is pure.  The public
+constructors (``ConfigPoint``, ``canonicalize``, ``point_from_barycentric``)
+check that the allocation is a face; points on faces a caller already knows
+(sampled or searched facets, canonical allocations, relabellings) skip it.
 """
 
 from __future__ import annotations
@@ -101,17 +104,10 @@ def degenerate_and_essential(
     return frozenset(deg), tuple(ess)
 
 
-def essential_intervals(cut: Cut, tol: float = DEGENERACY_TOL) -> tuple[Interval, ...]:
-    return tuple(interval for interval, _ in degenerate_and_essential(cut, tol)[1])
-
-
 def partition_equivalent(a: Cut, b: Cut, tol: float = DEGENERACY_TOL) -> bool:
     """True iff both cuts produce the same set of non-degenerate tiles."""
-    ia = essential_intervals(a, tol)
-    ib = essential_intervals(b, tol)
-    if len(ia) != len(ib):
-        return False
-    return all(
+    ia, ib = ([interval for interval, _ in degenerate_and_essential(c, tol)[1]] for c in (a, b))
+    return len(ia) == len(ib) and all(
         abs(x[0] - y[0]) <= tol and abs(x[1] - y[1]) <= tol for x, y in zip(ia, ib)
     )
 
@@ -205,13 +201,22 @@ def canonicalize(
     return ConfigPoint(variant, cut, tuple(kept.items()))
 
 
+def _face_point(variant: Variant, cut: Cut, allocation: tuple[tuple[int, int], ...]) -> ConfigPoint:
+    """``ConfigPoint`` without its checks, for an allocation known to be a face:
+    (tile, box) pairs sorted by tile, one per essential tile of the cut."""
+    point = object.__new__(ConfigPoint)
+    vars(point).update(variant=variant, cut=cut, allocation=allocation)
+    return point
+
+
 def act(sigma: Sequence[int], point: ConfigPoint) -> ConfigPoint:
-    """Relabel boxes by a permutation: box b becomes sigma[b-1]; cut unchanged."""
+    """Relabel boxes by a permutation: box b becomes sigma[b-1]; cut unchanged.
+    Relabelling rows maps faces to faces on every board, so no face check."""
     r = point.r
     if sorted(sigma) != list(range(1, r + 1)):
         raise ValueError(f"{sigma!r} is not a permutation of 1..{r}")
-    moved = tuple((tile, sigma[box - 1]) for tile, box in point.allocation)
-    return ConfigPoint(point.variant, point.cut, moved)
+    moved = tuple((tile, int(sigma[box - 1])) for tile, box in point.allocation)
+    return _face_point(point.variant, point.cut, moved)
 
 
 def point_from_barycentric(
@@ -237,14 +242,20 @@ def point_from_barycentric(
     total = math.fsum(w)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {total}")
+    return _barycentric_point(variant, tuple((int(i), int(j)) for i, j in cells), w, tol)
 
-    column_weight = {}
-    column_row = {}
-    for (row, col), weight in zip(cells, w):
-        column_weight[col] = max(0.0, weight)
-        column_row[col] = row
-    z = tuple(column_weight.get(col, 0.0) for col in range(1, variant.cols + 1))
-    cut = z_to_cut(ZPoint(z))
-    # canonicalize decides degeneracy from the reconstructed lengths, so a
-    # weight straddling the tolerance cannot leave an essential tile behind
-    return canonicalize(cut, dict(column_row.items()), variant, tol)
+
+def _barycentric_point(variant: Variant, face, weights: Sequence[float], tol: float = DEGENERACY_TOL) -> ConfigPoint:
+    """``point_from_barycentric`` without its checks, for a known face and weights summing to 1."""
+    z = [0.0] * variant.cols
+    box_of = {}
+    for (row, col), weight in zip(face, weights):
+        z[col - 1] = max(0.0, weight)
+        box_of[col] = row
+    cut = z_to_cut(ZPoint(tuple(z)))
+    # degeneracy is decided from the reconstructed lengths, so a weight
+    # straddling the tolerance cannot leave an essential tile behind
+    allocation = tuple(
+        (tile, box_of[tile]) for tile, length in enumerate(cut.lengths, start=1) if length > tol
+    )
+    return _face_point(variant, cut, allocation)

@@ -17,6 +17,13 @@ Built-in models:
 * ``piecewise_random`` -- seeded piecewise-linear scores with a positive
   floor, covering and box-label-blind by construction.
 
+``score_matrix`` is the one evaluation primitive: one check of the point,
+then every player's normalized scores, stacked; ``scores`` is its one-row
+case.  Search, brute force, verification and validation evaluate through
+it.  Points are checked where they enter from outside, in the public
+constructors of ``configspace``; the hot loops build points on faces they
+already know without the checks.
+
 Oracles must be pure and deterministic per (player, point): the solver
 evaluates them one at a time, in one thread, and reuses the averages it
 computed at a grid point instead of asking again.  Validation is
@@ -39,7 +46,7 @@ import numpy as np
 
 from . import complexes
 from .complexes import Variant
-from .configspace import ConfigPoint, Cut, ZPoint, act, point_from_barycentric
+from .configspace import ConfigPoint, Cut, ZPoint, _barycentric_point, act, point_from_barycentric
 
 #: scores above this threshold count as "preferred"
 PREFERENCE_TOL = 1e-9
@@ -80,22 +87,41 @@ class PreferenceMatrix:
             raise ValueError("need at least two players")
 
 
-def _as_lengths(point, r: int) -> tuple[float, ...]:
+def _domain(prefs: PreferenceMatrix, point):
+    """The point in the form this oracle's ``raw`` takes, after the checks."""
+    if prefs.kind == NEW:
+        if not isinstance(point, ConfigPoint):
+            raise TypeError("new-style oracle queried with a bare cut")
+        return point
     if isinstance(point, ConfigPoint):
         raise TypeError("old-style oracle queried with a configuration point")
-    if isinstance(point, Cut):
-        z = point.lengths
-    elif isinstance(point, ZPoint):
-        z = point.lengths
-    else:
-        z = tuple(float(v) for v in point)
-    if len(z) != r:
-        raise ValueError(f"expected {r} tile lengths, got {len(z)}")
+    z = point.lengths if isinstance(point, (Cut, ZPoint)) else tuple(float(v) for v in point)
+    if len(z) != prefs.r:
+        raise ValueError(f"expected {prefs.r} tile lengths, got {len(z)}")
     return z
 
 
+def _normalized(raw) -> list[float]:
+    """Raw scores divided by their ``math.fsum``; all zeros stay zero."""
+    row = [float(v) for v in raw]
+    if any(v < 0 for v in row):
+        raise ValueError(f"oracle produced a negative score: {row}")
+    total = math.fsum(row)
+    if total <= 0.0:
+        return [0.0] * len(row)
+    return [v / total for v in row]
+
+
+def score_matrix(prefs: PreferenceMatrix, point) -> np.ndarray:
+    """Every player's normalized scores at one domain point, player j in
+    row j-1: one check of the point, then r ``raw`` calls."""
+    domain = _domain(prefs, point)
+    return np.array([_normalized(prefs.raw(j, domain)) for j in range(1, prefs.r + 1)])
+
+
 def scores(prefs: PreferenceMatrix, player: int, point) -> np.ndarray:
-    """Normalized score vector of one player at one domain point.
+    """Normalized score vector of one player at one domain point: row
+    ``player - 1`` of ``score_matrix``.
 
     Sums to 1 whenever any raw score is positive; an all-zero vector is
     returned otherwise (the player accepts nothing there, which a covering
@@ -103,19 +129,7 @@ def scores(prefs: PreferenceMatrix, player: int, point) -> np.ndarray:
     """
     if not 1 <= player <= prefs.r:
         raise ValueError(f"player {player} outside 1..{prefs.r}")
-    if prefs.kind == OLD:
-        raw = prefs.raw(player, _as_lengths(point, prefs.r))
-    else:
-        if not isinstance(point, ConfigPoint):
-            raise TypeError("new-style oracle queried with a bare cut")
-        raw = prefs.raw(player, point)
-    raw = [float(v) for v in raw]
-    if any(v < 0 for v in raw):
-        raise ValueError(f"oracle produced a negative score: {raw}")
-    total = math.fsum(raw)
-    if total <= 0.0:
-        return np.zeros(len(raw))
-    return np.array([v / total for v in raw])
+    return np.array(_normalized(prefs.raw(player, _domain(prefs, point))))
 
 
 # ---------------------------------------------------------------------------
@@ -140,27 +154,19 @@ def _plateau(z: float, knee: float) -> float:
     return 1.0 if z <= knee else (1.0 - z) / (1.0 - knee)
 
 
-def _end_labels(n_tiles: int) -> tuple[int, int]:
-    return (1, n_tiles)
+def _by_length(score, param):
+    """Scores each tile (old-style) or box (new-style) by its length alone."""
 
-
-def _hungry_old(margin):
-    def raw(player, z):
-        return [_ramp(v, margin) for v in z]
-
-    return raw
-
-
-def _hungry_new(margin):
-    def raw(player, point: ConfigPoint):
-        return [_ramp(v, margin) for v in point.box_lengths()]
+    def raw(player, where):
+        lengths = where.box_lengths() if isinstance(where, ConfigPoint) else where
+        return [score(v, param) for v in lengths]
 
     return raw
 
 
 def _gorbushka_old(width, dte):
     def raw(player, z):
-        first, last = _end_labels(len(z))
+        first, last = 1, len(z)
         out = []
         for label, v in enumerate(z, start=1):
             score = v if label in (first, last) else 0.0
@@ -175,7 +181,7 @@ def _gorbushka_old(width, dte):
 def _gorbushka_new(width, dte):
     def raw(player, point: ConfigPoint):
         z = point.cut.lengths
-        first, last = _end_labels(len(z))
+        first, last = 1, len(z)
         degenerate_signal = max(_bump(v, width) for v in z)
         out = []
         boxes = point.boxes()
@@ -187,20 +193,6 @@ def _gorbushka_new(width, dte):
             else:
                 out.append(end_mass)
         return out
-
-    return raw
-
-
-def _burnt_old(knee):
-    def raw(player, z):
-        return [_plateau(v, knee) for v in z]
-
-    return raw
-
-
-def _burnt_new(knee):
-    def raw(player, point: ConfigPoint):
-        return [_plateau(v, knee) for v in point.box_lengths()]
 
     return raw
 
@@ -297,7 +289,7 @@ def make_builtin(
 
     if name == "hungry":
         margin = float(params.setdefault("margin", HUNGRY_MARGIN))
-        raw = _hungry_old(margin) if kind == OLD else _hungry_new(margin)
+        raw = _by_length(_ramp, margin)
     elif name == "gorbushka":
         width = float(params.setdefault("width", GORBUSHKA_WIDTH))
         dte = bool(params.setdefault("dte", True))
@@ -306,7 +298,7 @@ def make_builtin(
         knee = float(params.setdefault("plateau", BURNT_PLATEAU))
         if not 0.0 < knee < 1.0:
             raise ValueError("burnt plateau must lie strictly inside (0, 1)")
-        raw = _burnt_old(knee) if kind == OLD else _burnt_new(knee)
+        raw = _by_length(_plateau, knee)
     else:  # piecewise_random
         if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError("piecewise_random needs a non-negative integer seed")
@@ -419,16 +411,9 @@ def sample_lengths(rng, n_tiles: int, force_degenerate: bool = False) -> tuple[f
 
 
 def sample_config_point(rng, variant: Variant, force_degenerate: bool = False) -> ConfigPoint:
-    cx = complexes.build_complex(variant)
-    facets = cx.maximal_simplices
+    facets = complexes.build_complex(variant).maximal_simplices
     facet = facets[int(rng.integers(0, len(facets)))]
-    w = rng.dirichlet(np.ones(len(facet)))
-    if force_degenerate and len(facet) >= 2:
-        k = int(rng.integers(1, len(facet)))
-        idx = rng.choice(len(facet), size=k, replace=False)
-        w[idx] = 0.0
-        w /= w.sum()
-    return point_from_barycentric(variant, facet, tuple(float(v) for v in w))
+    return _barycentric_point(variant, facet, sample_lengths(rng, len(facet), force_degenerate))
 
 
 def _sample_domain(rng, prefs, force_degenerate):
@@ -437,10 +422,6 @@ def _sample_domain(rng, prefs, force_degenerate):
     if prefs.variant is None:
         raise ValueError("new-style oracle needs a variant attached for sampling")
     return sample_config_point(rng, prefs.variant, force_degenerate)
-
-
-def _random_permutation(rng, r):
-    return tuple(int(v) + 1 for v in rng.permutation(r))
 
 
 def validate(
@@ -471,23 +452,16 @@ def validate(
         force_deg = i % 2 == 1
         if property == "covering":
             point = _sample_domain(rng, prefs, force_deg)
-            worst = 0.0
-            for j in range(1, prefs.r + 1):
-                worst = max(worst, float(scores(prefs, j, point).max(initial=0.0)))
-                if worst > PREFERENCE_TOL:
-                    break
-            if worst <= PREFERENCE_TOL:
+            # player by player, stopping at the first who accepts a box
+            accepting = (scores(prefs, j, point).max(initial=0.0) > PREFERENCE_TOL for j in range(1, prefs.r + 1))
+            if not any(accepting):
                 violations.append(_witness(point))
         elif property == "equivariance":
             point = _sample_domain(rng, prefs, force_deg)
-            sigma = _random_permutation(rng, prefs.r)
-            moved = act(sigma, point)
-            dev = 0.0
-            for j in range(1, prefs.r + 1):
-                before = scores(prefs, j, point)
-                after = scores(prefs, j, moved)
-                for idx in range(prefs.r):
-                    dev = max(dev, abs(after[sigma[idx] - 1] - before[idx]))
+            sigma = tuple(int(v) + 1 for v in rng.permutation(prefs.r))
+            before = score_matrix(prefs, point)
+            after = score_matrix(prefs, act(sigma, point))
+            dev = float(np.abs(after[:, np.array(sigma) - 1] - before).max())
             max_dev = max(max_dev, dev)
             if dev > tol:
                 violations.append({"point": _witness(point), "sigma": list(sigma), "deviation": dev})
@@ -496,11 +470,8 @@ def validate(
             deg = [i + 1 for i, v in enumerate(z) if v <= PREFERENCE_TOL]
             if len(deg) < 2:
                 continue
-            dev = 0.0
-            for j in range(1, prefs.r + 1):
-                s = scores(prefs, j, z)
-                vals = [s[d - 1] for d in deg]
-                dev = max(dev, max(vals) - min(vals))
+            s = score_matrix(prefs, z)[:, np.array(deg) - 1]
+            dev = float((s.max(axis=1) - s.min(axis=1)).max())
             max_dev = max(max_dev, dev)
             if dev > tol:
                 violations.append({"lengths": list(z), "deviation": dev})
@@ -521,19 +492,14 @@ def validate(
 
 
 def _witness(point):
-    if isinstance(point, ConfigPoint):
-        return point.to_json()
-    return list(point)
+    return point.to_json() if isinstance(point, ConfigPoint) else list(point)
 
 
 def _repad_zeros(rng, z):
     """Move the zero-length tiles to random slots, preserving the partition."""
-    ess = [v for v in z if v > PREFERENCE_TOL]
-    n_zero = len(z) - len(ess)
-    out = list(ess)
-    for _ in range(n_zero):
-        pos = int(rng.integers(0, len(out) + 1))
-        out.insert(pos, 0.0)
+    out = [v for v in z if v > PREFERENCE_TOL]
+    for _ in range(len(z) - len(out)):
+        out.insert(int(rng.integers(0, len(out) + 1)), 0.0)
     return tuple(out)
 
 
@@ -559,28 +525,19 @@ def _ppe_clause_violation(prefs, z, z_alt):
 
 
 def _continuity_probe(rng, prefs, force_deg):
-    if prefs.kind == OLD:
-        z = np.array(sample_lengths(rng, prefs.r, force_deg))
-        delta = rng.normal(scale=1e-6, size=prefs.r)
-        z_alt = np.clip(z + delta, 0.0, None)
-        z_alt /= z_alt.sum()
-        dist = float(np.abs(z_alt - z).max())
-        dev = 0.0
-        for j in range(1, prefs.r + 1):
-            dev = max(dev, float(np.abs(scores(prefs, j, tuple(z_alt)) - scores(prefs, j, tuple(z))).max()))
-        return dev, dist, list(z)
+    """The largest score change when the weights of a sampled point move by
+    about 1e-6, the size of the move, and the point."""
     point = _sample_domain(rng, prefs, force_deg)
-    cells, weights = point.support()
+    cells, weights = (None, point) if prefs.kind == OLD else point.support()
     w = np.array(weights)
-    delta = rng.normal(scale=1e-6, size=len(w))
-    w_alt = np.clip(w + delta, 0.0, None)
+    w_alt = np.clip(w + rng.normal(scale=1e-6, size=len(w)), 0.0, None)
     w_alt /= w_alt.sum()
-    moved = point_from_barycentric(point.variant, cells, tuple(float(v) for v in w_alt))
-    dist = float(np.abs(w_alt - w).max())
-    dev = 0.0
-    for j in range(1, prefs.r + 1):
-        dev = max(dev, float(np.abs(scores(prefs, j, moved) - scores(prefs, j, point)).max()))
-    return dev, dist, point.to_json()
+    if cells is None:
+        moved = tuple(w_alt)
+    else:
+        moved = point_from_barycentric(point.variant, cells, tuple(float(v) for v in w_alt))
+    dev = float(np.abs(score_matrix(prefs, moved) - score_matrix(prefs, point)).max())
+    return dev, float(np.abs(w_alt - w).max()), _witness(point)
 
 
 # ---------------------------------------------------------------------------

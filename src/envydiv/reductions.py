@@ -11,14 +11,15 @@ tile shrinks to a point.
 one-tile-per-box space (c2): the doubled cut is first reduced back to r
 tiles by deleting superfluous cut-points, each box is scored by its tile's
 score in the reduced cut, and empty boxes split the degenerate score.  The
-reduction is computed along two different deletion orders on every query;
-any disagreement is reported as a partition-equivalence violation of the
-source.
+reduction is computed along two different deletion orders, once per cut
+for all r players; every query compares the two, and any disagreement is
+reported as a partition-equivalence violation of the source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .preferences import (
     PREFERENCE_TOL,
     PreferenceMatrix,
     PreferenceValidationError,
+    score_matrix,
     scores,
     validate,
 )
@@ -199,11 +201,10 @@ def _check_short_last_tile(old_prefs, epsilon, check_samples, seed):
         t = float(lows + (epsilon - lows) * (i + 0.5) / check_samples)
         rest = rng.dirichlet(np.ones(r - 1)) * (1.0 - t)
         z = tuple(float(v) for v in rest) + (t,)
-        for j in range(1, r + 1):
-            if float(scores(old_prefs, j, z)[r - 1]) > PREFERENCE_TOL:
-                raise PreferenceValidationError(
-                    f"source prefers the last tile at length {t:.3g} < epsilon={epsilon:.3g}"
-                )
+        if (score_matrix(old_prefs, z)[:, r - 1] > PREFERENCE_TOL).any():
+            raise PreferenceValidationError(
+                f"source prefers the last tile at length {t:.3g} < epsilon={epsilon:.3g}"
+            )
 
 
 def phi(
@@ -215,10 +216,10 @@ def phi(
 ) -> ReducedPreferences:
     """Lift a partition-equivalence oracle to boxes on the c2 space.
 
-    Every query reduces the doubled cut with the requested deletion order
-    and re-runs the mirrored order; box scores that disagree beyond
-    ``consistency_tol`` mean the source is not partition-equivalent and
-    raise an error.
+    The doubled cut is reduced with the requested deletion order and with
+    the mirrored one, once per cut for all players; box scores that
+    disagree beyond ``consistency_tol`` mean the source is not
+    partition-equivalent and raise an error.
     """
     if old_prefs.kind != OLD:
         raise ValueError("phi expects an old-style oracle")
@@ -230,35 +231,46 @@ def phi(
                 f"phi source fails {prop}: {len(report.violations)} violations"
             )
 
-    def box_scores(player, point, which):
-        reduced = eliminate_superfluous(point.cut, keep=which)
-        s = _normalized_source_scores(old_prefs, player, reduced.lengths)
-        deg_reduced, ess_reduced = degenerate_and_essential(reduced)
-        _, ess_full = degenerate_and_essential(point.cut)
+    other = "right" if keep == "left" else "left"
+
+    @lru_cache(maxsize=1)  # the r players query one point in turn
+    def reductions_of(cut):
+        """Per deletion order: the reduced lengths, the (full, reduced) labels of
+        the k-th essential tile, k = 1, 2, ..., and the first degenerate reduced label."""
+        _, ess_full = degenerate_and_essential(cut)
+        found = {}
+        for which in (keep, other):
+            reduced = eliminate_superfluous(cut, keep=which)
+            deg_reduced, ess_reduced = degenerate_and_essential(reduced)
+            labels = [(full, ess_reduced[k][1]) for k, (_, full) in enumerate(ess_full)]
+            found[which] = (reduced.lengths, labels, min(deg_reduced, default=None))
+        return found
+
+    def box_scores(player, point, reduction):
+        lengths, labels, first_degenerate = reduction
+        s = _normalized_source_scores(old_prefs, player, lengths)
         tile_to_box = point.allocation_map()
         out = [0.0] * r
         occupied = set()
-        # the k-th essential interval keeps its identity across the reduction
-        for k, (_, full_label) in enumerate(ess_full):
+        for full_label, reduced_label in labels:
             box = tile_to_box[full_label]
-            out[box - 1] = float(s[ess_reduced[k][1] - 1])
+            out[box - 1] = float(s[reduced_label - 1])
             occupied.add(box)
         empty = [b for b in range(1, r + 1) if b not in occupied]
-        if deg_reduced and empty:
-            deg_score = float(s[min(deg_reduced) - 1])
+        if first_degenerate is not None and empty:
+            deg_score = float(s[first_degenerate - 1])
             if deg_score > PREFERENCE_TOL:
                 share = deg_score / len(empty)
                 for b in empty:
                     out[b - 1] = share
         return out
 
-    other = "right" if keep == "left" else "left"
-
     def raw(player, point: ConfigPoint):
         if point.cut.tile_count != 2 * r - 1:
             raise ValueError(f"expected a point with {2 * r - 1} tiles")
-        primary = box_scores(player, point, keep)
-        mirror = box_scores(player, point, other)
+        reduction = reductions_of(point.cut)
+        primary = box_scores(player, point, reduction[keep])
+        mirror = box_scores(player, point, reduction[other])
         drift = max(abs(a - b) for a, b in zip(primary, mirror))
         if drift > consistency_tol:
             raise PreferenceValidationError(

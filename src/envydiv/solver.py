@@ -44,7 +44,8 @@ from .configspace import (
     ConfigPoint,
     Cut,
     ZPoint,
-    canonicalize,
+    _barycentric_point,
+    _face_point,
     point_from_barycentric,
     z_to_cut,
 )
@@ -53,7 +54,7 @@ from .preferences import (
     PREFERENCE_TOL,
     PreferenceMatrix,
     PreferenceValidationError,
-    scores,
+    score_matrix,
     validate,
 )
 
@@ -121,15 +122,18 @@ class StochasticMatrix:
         return [[float(v) for v in row] for row in self.entries]
 
 
+def _covered_scores(prefs: PreferenceMatrix, point: ConfigPoint) -> np.ndarray:
+    """``score_matrix``, rejecting a point where some player accepts no box."""
+    entries = score_matrix(prefs, point)
+    refused = ~entries.any(axis=1)
+    if refused.any():
+        raise ValueError(f"player {int(refused.argmax()) + 1} accepts no box at {point.to_json()}")
+    return entries
+
+
 def average_matrix(prefs: PreferenceMatrix, point: ConfigPoint) -> StochasticMatrix:
     """Stack every player's score vector at the point and average per box."""
-    rows = []
-    for player in range(1, prefs.r + 1):
-        row = scores(prefs, player, point)
-        if float(row.sum()) <= 0.0:
-            raise ValueError(f"player {player} accepts no box at {point.to_json()}")
-        rows.append(row)
-    return StochasticMatrix(np.vstack(rows))
+    return StochasticMatrix(_covered_scores(prefs, point))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +419,7 @@ class SearchResult:
 
 
 def _secant_refine(evaluate, cells, w, h, tolerance, steps=12, retries=2):
-    """Simplex-secant steps from a PL zero; returns the best (residual, point).
+    """Simplex-secant steps from a PL zero; returns the best (residual, weights).
 
     Each step interpolates F linearly on the simplex with vertices
     (1-h) w + h e_i, moves w to that simplex's PL zero, and shrinks h to the
@@ -423,7 +427,7 @@ def _secant_refine(evaluate, cells, w, h, tolerance, steps=12, retries=2):
     on a simplex 8 times smaller, at most ``retries`` times in all.
     """
     parts = len(cells)
-    _, v, point = evaluate(cells, w)
+    _, v, at = evaluate(cells, w)
     for _ in range(steps):
         if v <= tolerance:
             break
@@ -436,16 +440,16 @@ def _secant_refine(evaluate, cells, w, h, tolerance, steps=12, retries=2):
             break
         moved = np.clip(lam @ vertices, 0.0, None)
         moved /= moved.sum()
-        _, v_moved, point_moved = evaluate(cells, moved)
+        _, v_moved, at_moved = evaluate(cells, moved)
         if v_moved < v:
             h = max(float(np.abs(moved - w).max()), 1e-12)
-            w, v, point = moved, v_moved, point_moved
+            w, v, at = moved, v_moved, at_moved
         elif retries:
             retries -= 1
             h /= 8.0
         else:
             break
-    return v, point
+    return v, at
 
 
 def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | None = None) -> SearchResult:
@@ -476,23 +480,26 @@ def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | N
         )
     k = _coarse_denominator(len(reps), parts, opts.coarse_budget, max(4, variant.rows))
     evaluations = 0
-    best = (math.inf, None)  # (residual, point)
+    best = (math.inf, None, None)  # (residual, facet, barycentric weights)
     pl_zeros: dict[int, int] = {}  # grid denominator -> PL zeros found
     cached = [{} for _ in reps]  # per facet: grid weights -> F
     zeros_seen = [0] * len(reps)
 
     def evaluate(cells, weights):
-        """F = column averages - 1/r at barycentric weights on one facet."""
+        """F = column averages - 1/r at barycentric weights on one facet, its
+        residual, and the weights, normalized, that the point was built from."""
         nonlocal evaluations
         evaluations += 1
         w = np.clip(weights, 0.0, None)
-        point = point_from_barycentric(variant, cells, tuple(float(v) for v in w / w.sum()))
-        matrix = average_matrix(prefs, point)
-        return matrix.averages - 1.0 / matrix.r, matrix.residual, point
+        w = tuple(float(v) for v in w / w.sum())
+        f = _covered_scores(prefs, _barycentric_point(variant, cells, w)).mean(axis=0) - 1.0 / parts
+        return f, float(np.abs(f).max()), w
 
     def result(converged):
+        # the point leaves the search through the public, checked constructor
+        point = point_from_barycentric(variant, best[1], best[2])
         return SearchResult(
-            best[1], best[0], converged, evaluations, len(reps), k, tuple(pl_zeros.items())
+            point, best[0], converged, evaluations, len(reps), k, tuple(pl_zeros.items())
         )
 
     while True:
@@ -510,9 +517,9 @@ def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | N
             for counts in grid:
                 key = tuple(counts / k)
                 if key not in cache:
-                    cache[key], v, point = evaluate(cells, counts / k)
+                    cache[key], v, at = evaluate(cells, counts / k)
                     if v < best[0]:
-                        best = (v, point)
+                        best = (v, cells, at)
                     if v <= opts.tolerance:
                         return result(True)
             values = np.array([cache[tuple(counts / k)] for counts in grid])
@@ -520,9 +527,9 @@ def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | N
             zeros_seen[idx] = len(zeros)
             pl_zeros[k] += len(zeros)
             for w in zeros:
-                v, point = _secant_refine(evaluate, cells, w, 1.0 / k, opts.tolerance)
+                v, at = _secant_refine(evaluate, cells, w, 1.0 / k, opts.tolerance)
                 if v < best[0]:
-                    best = (v, point)
+                    best = (v, cells, at)
                 if v <= opts.tolerance:
                     return result(True)
         if len(reps) * comb(2 * k + parts - 1, parts - 1) > opts.coarse_budget:
@@ -655,9 +662,9 @@ def verify_division(division: EnvyFreeDivision, prefs: PreferenceMatrix) -> bool
     threshold; by box-label blindness this is the same check in any
     relabeling of the boxes.
     """
-    matrix = average_matrix(prefs, division.point)
+    entries = score_matrix(prefs, division.point)
     return all(
-        float(matrix.entries[j - 1, division.assignment[j - 1] - 1]) > PREFERENCE_TOL
+        float(entries[j - 1, division.assignment[j - 1] - 1]) > PREFERENCE_TOL
         for j in range(1, prefs.r + 1)
     )
 
@@ -732,6 +739,18 @@ def _grid_cuts(variant: Variant, grid_resolution: int):
             yield Cut(pts)
 
 
+def _scan_size(variant: Variant, grid_resolution: int) -> int:
+    """The points ``brute_force`` scores, counted without scoring: the
+    essential tiles E (odd columns on a chessboard) of C(g-2, |E|-1) grid
+    cuts, times the canonical allocations of E."""
+    tiles = range(1, variant.cols + 1, 2 if variant.kind == CHESSBOARD else 1)
+    return sum(
+        comb(grid_resolution - 2, size - 1) * sum(1 for _ in _canonical_allocations(variant, essential))
+        for size in range(1, variant.rows + 1)
+        for essential in itertools.combinations(tiles, size)
+    )
+
+
 def brute_force(
     variant: Variant,
     prefs: PreferenceMatrix,
@@ -751,13 +770,18 @@ def brute_force(
     max-min unchanged, so each grid cut scores one allocation per
     box-relabelling orbit, the first of its orbit in lexicographic order.
     The first strict maximum is therefore the one a scan of every
-    allocation would report, and ``evaluated`` counts the points scored.
+    allocation would report, and ``evaluated`` counts the points scored;
+    more than ``work_cap`` of them raise before the oracle is first called.
     """
-    r = variant.rows
-    if r > 5:
+    if variant.rows > 5:
         raise ResourceCapExceeded("brute force supports at most 5 players")
     if not 2 <= grid_resolution <= 64:
         raise ResourceCapExceeded("grid resolution must lie in 2..64")
+    points = _scan_size(variant, grid_resolution)
+    if points > work_cap:
+        raise ResourceCapExceeded(
+            f"brute force would score {points} points, over the work cap of {work_cap}"
+        )
     prefs = _checked_oracle(variant, prefs, ("equivariance",), seed)
 
     best_value = -1.0
@@ -770,14 +794,9 @@ def brute_force(
             label for label, length in enumerate(cut.lengths, start=1) if length > 1e-9
         )
         for alloc in _canonical_allocations(variant, essential):
-            point = canonicalize(cut, alloc, variant)
-            rows = [scores(prefs, j, point) for j in range(1, r + 1)]
+            point = _face_point(variant, cut, tuple(alloc.items()))
             evaluated += 1
-            if evaluated > work_cap:
-                raise ResourceCapExceeded(
-                    f"brute force exceeded the work cap of {work_cap} evaluations"
-                )
-            value, perm = _max_min(np.vstack(rows))
+            value, perm = _max_min(score_matrix(prefs, point))
             if value > best_value:
                 best_value = value
                 best_point = point

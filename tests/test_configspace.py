@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envydiv.complexes import build_complex, chessboard, gorbushka_join, join_power
+from envydiv.complexes import build_complex, chessboard, for_space, gorbushka_join, join_power
 from envydiv.configspace import (
+    ConfigPoint,
     Cut,
     ZPoint,
+    _barycentric_point,
+    _face_point,
     act,
     canonicalize,
     cut_to_z,
@@ -248,3 +251,56 @@ def test_config_point_json():
     assert doc["allocation"] == {"3": 2}
     assert doc["cut"] == [0.0, 0.0]
     assert doc["variant"]["kind"] == "join_power"
+
+
+BOARDS = [for_space(space, r) for space in ("c1", "c2", "c3") for r in (2, 3, 4)] + [chessboard(3, 2)]
+
+
+@pytest.mark.parametrize("variant", BOARDS, ids=str)
+def test_public_constructors_reject_non_faces(variant):
+    # the first n tiles are essential and go to boxes 1..n
+    n = min(variant.rows, variant.cols)
+    cut = z_to_cut(ZPoint((1.0 / n,) * n + (0.0,) * (variant.cols - n)))
+    identity = {tile: tile for tile in range(1, n + 1)}
+    # one tile in two boxes is a face of no board
+    with pytest.raises(ValueError):
+        ConfigPoint(variant, cut, ((1, 1), (1, 2)) + tuple(identity.items())[1:])
+    with pytest.raises(ValueError):
+        point_from_barycentric(variant, [(1, 1), (2, 1)], (0.5, 0.5))
+    # cells outside the board are faces of no board
+    for tile, box in ((1, variant.rows + 1), (variant.cols + 1, 1), (1, 0)):
+        with pytest.raises(ValueError):
+            canonicalize(cut, {**identity, tile: box}, variant)
+    with pytest.raises(ValueError):
+        point_from_barycentric(variant, [(variant.rows + 1, 1)], (1.0,))
+    if variant.kind == "chessboard" or variant.kind == "gorbushka_join" and variant.cols >= 3:
+        # tiles 1 and 2 share a box only on a join power, or on a gorbushka
+        # join where tile 2 is the last
+        with pytest.raises(ValueError):
+            canonicalize(cut, {**identity, 1: 1, 2: 1}, variant)
+    point = canonicalize(cut, identity, variant)
+    for sigma in ((1,) * variant.rows, tuple(range(2, variant.rows + 2)), tuple(range(1, variant.rows))):
+        with pytest.raises(ValueError):
+            act(sigma, point)
+
+
+@pytest.mark.parametrize("variant", BOARDS, ids=str)
+def test_unchecked_points_equal_checked_ones(variant):
+    rng = np.random.default_rng(variant.rows * 10 + variant.cols)
+    facets = build_complex(variant).maximal_simplices
+    for i in range(200):
+        facet = facets[int(rng.integers(0, len(facets)))]
+        w = rng.dirichlet(np.ones(len(facet)))
+        if i % 2:
+            w[rng.choice(len(facet), size=int(rng.integers(1, len(facet) + 1)) - 1, replace=False)] = 0.0
+            w /= w.sum()
+        weights = tuple(float(v) for v in w)
+        checked = point_from_barycentric(variant, facet, weights)
+        unchecked = _barycentric_point(variant, facet, weights)
+        assert unchecked == checked and hash(unchecked) == hash(checked)
+        assert unchecked.to_json() == checked.to_json()
+        sigma = tuple(int(v) + 1 for v in rng.permutation(variant.rows))
+        moved = act(sigma, checked)
+        relabelled = tuple((tile, sigma[box - 1]) for tile, box in checked.allocation)
+        assert moved == ConfigPoint(variant, checked.cut, relabelled)
+        assert _face_point(variant, checked.cut, checked.allocation) == checked

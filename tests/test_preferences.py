@@ -6,16 +6,22 @@ import pytest
 from envydiv.complexes import for_space, gorbushka_join
 from envydiv.configspace import Cut, canonicalize, point_from_barycentric
 from envydiv.preferences import (
+    BUILTIN_MODELS,
     NEW,
+    OLD,
     PREFERENCE_TOL,
+    PreferenceMatrix,
     load_preference_file,
     make_builtin,
     piecewise_from_tables,
     row_shuffled,
     sample_config_point,
+    sample_lengths,
+    score_matrix,
     scores,
     validate,
 )
+from envydiv.reductions import phi, psi
 
 
 def test_make_builtin_rejects_unknowns():
@@ -217,3 +223,82 @@ def test_old_oracle_accepts_cut_objects():
     prefs = make_builtin("hungry", 3)
     s = scores(prefs, 1, Cut((1 / 3, 2 / 3)))
     assert np.allclose(s, [1 / 3] * 3)
+
+
+def _stacked_scores(prefs, point):
+    return np.vstack([scores(prefs, j, point) for j in range(1, prefs.r + 1)])
+
+
+@pytest.mark.parametrize("space", ["c1", "c2", "c3"])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_score_matrix_rows_are_the_stacked_scores(space, r):
+    variant = for_space(space, r)
+    rng = np.random.default_rng(r)
+    points = [sample_config_point(rng, variant, force_degenerate=i % 2 == 1) for i in range(30)]
+    for model in BUILTIN_MODELS:
+        prefs = make_builtin(model, r, kind="new", variant=variant, seed=3)
+        for point in points:
+            matrix = score_matrix(prefs, point)
+            assert matrix.shape == (r, r)
+            assert np.array_equal(matrix, _stacked_scores(prefs, point)), (model, point)
+        old = make_builtin(model, r, seed=3)
+        for i in range(30):
+            z = sample_lengths(rng, r, force_degenerate=i % 2 == 1)
+            assert np.array_equal(score_matrix(old, z), _stacked_scores(old, z)), (model, z)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_score_matrix_rows_are_the_stacked_scores_of_lifts(r):
+    rng = np.random.default_rng(r)
+    for lifted in (psi(make_builtin("hungry", r)), phi(make_builtin("hungry", r))):
+        for i in range(30):
+            point = sample_config_point(rng, lifted.variant, force_degenerate=i % 2 == 1)
+            assert np.array_equal(score_matrix(lifted, point), _stacked_scores(lifted, point))
+
+
+def test_score_matrix_checks_every_row():
+    def raw(player, z):
+        return [[1.0, 2.0, 1.0], [0.0, 0.0, 0.0], [1.0, -0.5, 1.0]][player - 1]
+
+    prefs = PreferenceMatrix(r=3, kind=OLD, model="custom", raw=raw)
+    with pytest.raises(ValueError, match="negative"):
+        score_matrix(prefs, (0.2, 0.3, 0.5))
+    zero_row = PreferenceMatrix(r=3, kind=OLD, model="custom", raw=lambda j, z: raw(min(j, 2), z))
+    matrix = score_matrix(zero_row, (0.5, 0.5, 0.0))
+    assert np.array_equal(matrix[0], [0.25, 0.5, 0.25])
+    assert np.array_equal(matrix[1:], np.zeros((2, 3)))
+    assert np.array_equal(matrix[1], scores(zero_row, 2, (0.5, 0.5, 0.0)))
+    with pytest.raises(TypeError):
+        score_matrix(make_builtin("hungry", 2, kind="new"), Cut((0.5,)))
+    with pytest.raises(TypeError):
+        score_matrix(make_builtin("hungry", 2), sample_config_point(np.random.default_rng(0), gorbushka_join(2)))
+
+
+def _counted(prefs):
+    calls = [0]
+    raw = prefs.raw
+
+    def counting(player, point):
+        calls[0] += 1
+        return raw(player, point)
+
+    prefs.raw = counting
+    return prefs, calls
+
+
+@pytest.mark.parametrize(
+    "model, params, space, prop, expected",
+    [
+        # covering stops at the first player who accepts a box: 1 call per
+        # sample, and all 3 at each of the 61 samples where nobody does
+        ("piecewise_random", None, "c1", "covering", 200),
+        ("gorbushka", {"dte": False}, "c2", "covering", 322),
+        # equivariance scores every player at the point and at its relabelling
+        ("piecewise_random", None, "c1", "equivariance", 1200),
+    ],
+)
+def test_validation_makes_a_fixed_number_of_oracle_calls(model, params, space, prop, expected):
+    variant = for_space(space, 3)
+    prefs, calls = _counted(make_builtin(model, 3, kind="new", params=params, variant=variant))
+    validate(prefs, prop, sample_count=200, seed=0)
+    assert calls[0] == expected

@@ -12,7 +12,7 @@ from envydiv.complexes import (
     gorbushka_join,
     join_power,
 )
-from envydiv.configspace import act, point_from_barycentric
+from envydiv.configspace import _face_point, act, canonicalize, point_from_barycentric
 from envydiv.preferences import (
     BUILTIN_MODELS,
     PREFERENCE_TOL,
@@ -45,8 +45,10 @@ from envydiv.solver import (
     _is_canonical,
     _is_prime_power,
     _kuhn_simplices,
+    _grid_cuts,
     _orbit_representatives,
     _pl_zeros,
+    _scan_size,
 )
 
 import oracles
@@ -570,3 +572,59 @@ def test_average_matrix_uniform_hungry_point():
     m = average_matrix(prefs, point)
     assert np.allclose(m.entries, 1 / 3)
     assert m.residual == 0.0
+
+
+@pytest.mark.parametrize("space, r", BRUTE_EQUIVALENCE)
+def test_brute_force_counts_its_points_before_scanning(space, r):
+    variant = for_space(space, r)
+    prefs = make_builtin("piecewise_random", r, kind="new", variant=variant, seed=0)
+    for grid in (2, 7, 12):
+        points = _scan_size(variant, grid)
+        assert brute_force(variant, prefs, grid).evaluated == points
+        assert brute_force(variant, prefs, grid, work_cap=points).evaluated == points
+        with pytest.raises(ResourceCapExceeded):
+            brute_force(variant, prefs, grid, work_cap=points - 1)
+
+
+def test_brute_force_cap_raises_before_the_oracle_is_called():
+    variant = join_power(5)
+    prefs, calls = _counted(make_builtin("piecewise_random", 5, kind="new", variant=variant))
+    assert _scan_size(variant, 64) == 31_940_235
+    with pytest.raises(ResourceCapExceeded, match="31940235 points"):
+        brute_force(variant, prefs, 64)
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("space, r", [("c1", 3), ("c2", 3), ("c3", 3)])
+def test_brute_force_points_equal_checked_points(space, r):
+    variant = for_space(space, r)
+    for cut in _grid_cuts(variant, 7):
+        essential = tuple(t for t, length in enumerate(cut.lengths, start=1) if length > 1e-9)
+        for alloc in _canonical_allocations(variant, essential):
+            assert _face_point(variant, cut, tuple(alloc.items())) == canonicalize(cut, alloc, variant)
+
+
+def _counted(prefs):
+    calls = [0]
+    raw = prefs.raw
+
+    def counting(player, point):
+        calls[0] += 1
+        return raw(player, point)
+
+    prefs.raw = counting
+    return prefs, calls
+
+
+def test_solve_and_brute_force_make_a_fixed_number_of_oracle_calls():
+    variant = gorbushka_join(3)
+    prefs, calls = _counted(make_builtin("piecewise_random", 3, kind="new", variant=variant, seed=0))
+    solve(variant, prefs)
+    assert calls[0] == 1691
+    calls[0] = 0
+    # 1,200 calls validate equivariance, then 3 score each of the 101 points
+    assert brute_force(variant, prefs, 9).evaluated == 101
+    assert calls[0] == 1200 + 3 * 101
+    source, calls = _counted(make_builtin("hungry", 3))
+    solve(for_space("c2", 3), phi(source))
+    assert calls[0] == 3748

@@ -4,14 +4,19 @@
 Covers the demos of ``run_demo_suite.py``; ``brute_force``, ``solve`` and
 the ``covering``, ``equivariance`` and ``continuity`` reports of
 ``validate`` (200 samples) on c1 r=2..4, c2 r=2,3 and c3 r=2..4 for every
-built-in model and seeds 0 and 3; and ``solve`` of psi lifts onto c1 and
-phi lifts onto c2 for r=2..4, from ``hungry`` and from seeded breakpoint
-tables.  A run that raises prints the exception instead.  Run it on two
-source trees and diff the outputs:
+built-in model and seeds 0 and 3; the old-style ``covering``, ``p_dte``
+and ``p_pe`` reports (200 samples) for r=2..4 of every built-in model and
+of the seeded psi and phi source tables, seeds 0 and 3; and ``solve`` of
+psi lifts onto c1 and phi lifts onto c2 for r=2..4, from ``hungry`` and
+from seeded breakpoint tables.  A run that raises prints the exception
+instead.  Run it on two source trees and diff the outputs:
 
     PYTHONPATH=src python scripts/dump_outputs.py > after.txt
     PYTHONPATH=../other/src python scripts/dump_outputs.py > before.txt
     cmp before.txt after.txt
+
+``dump_outputs.expected.txt`` beside this script holds the output of the
+committed tree (numpy 2.4.6); CI compares a fresh dump against it.
 """
 
 import contextlib
@@ -27,6 +32,7 @@ DEMOS = [("gale", 5), ("gale", 3), ("gorbushka", 3), ("burnt", 3), ("ppe", 4)]
 SPACES = [("c1", r) for r in (2, 3, 4)] + [("c2", r) for r in (2, 3)] + [("c3", r) for r in (2, 3, 4)]
 BRUTE_GRID = 7
 VALIDATED = ("covering", "equivariance", "continuity")
+VALIDATED_OLD = ("covering", "p_dte", "p_pe")
 LIFT_EPSILON = 0.02
 
 
@@ -84,6 +90,14 @@ def main() -> None:
                     print(f"validate {prop} {label} {report}")
                 print(f"brute {label} {_json(lambda: solver.brute_force(variant, prefs, BRUTE_GRID))}")
                 print(f"solve {label} {_json(lambda: solver.solve(variant, prefs))}")
+    for r in (2, 3, 4):
+        for seed in (0, 3):
+            sources = [(m, preferences.make_builtin(m, r, seed=seed)) for m in preferences.BUILTIN_MODELS]
+            sources += [("psi-tables", _psi_source(r, seed)), ("phi-tables", _phi_source(r, seed))]
+            for name, old in sources:
+                for prop in VALIDATED_OLD:
+                    report = _json(lambda: preferences.validate(old, prop, 200, seed=seed))
+                    print(f"validate {prop} old r={r} {name} seed={seed} {report}")
     for r in (2, 3, 4):
         hungry = lambda: preferences.make_builtin("hungry", r)  # noqa: E731
         print(f"solve psi(hungry) c1 r={r} {_lifted_solve(reductions.psi, 'c1', r, hungry)}")

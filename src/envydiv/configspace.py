@@ -9,9 +9,11 @@ weighted faces of the variant's complex: cell (box, tile) carries the tile's
 length as barycentric weight.
 
 All types are immutable values and every operation is pure.  The public
-constructors (``ConfigPoint``, ``canonicalize``, ``point_from_barycentric``)
-check that the allocation is a face; points on faces a caller already knows
-(sampled or searched facets, canonical allocations, relabellings) skip it.
+constructors (``Cut``, ``ZPoint``, ``z_to_cut``, ``ConfigPoint``,
+``canonicalize``, ``point_from_barycentric``) check their input; points on
+faces a caller already knows (sampled or searched facets, canonical
+allocations, relabellings) skip the face check, and their cuts, built from
+lengths known to lie on the simplex, skip the cut checks too.
 """
 
 from __future__ import annotations
@@ -209,6 +211,26 @@ def _face_point(variant: Variant, cut: Cut, allocation: tuple[tuple[int, int], .
     return point
 
 
+def _known_cut(z: Sequence[float]) -> Cut:
+    """``z_to_cut(ZPoint(z))`` without their checks, for non-negative float
+    lengths summing to 1: one cumulative pass sets the cut-points and the
+    tile lengths, bit for bit those of the checked path."""
+    points = []
+    lengths = []
+    acc = prev = 0.0
+    for v in z[:-1]:
+        acc += v
+        point = _clamp01(acc)
+        points.append(point)
+        lengths.append(max(0.0, point - prev))
+        prev = point
+    lengths.append(max(0.0, 1.0 - prev))
+    cut = object.__new__(Cut)
+    # ``lengths`` goes where its ``cached_property`` would store it
+    vars(cut).update(points=tuple(points), lengths=tuple(lengths))
+    return cut
+
+
 def act(sigma: Sequence[int], point: ConfigPoint) -> ConfigPoint:
     """Relabel boxes by a permutation: box b becomes sigma[b-1]; cut unchanged.
     Relabelling rows maps faces to faces on every board, so no face check."""
@@ -250,9 +272,9 @@ def _barycentric_point(variant: Variant, face, weights: Sequence[float], tol: fl
     z = [0.0] * variant.cols
     box_of = {}
     for (row, col), weight in zip(face, weights):
-        z[col - 1] = max(0.0, weight)
+        z[col - 1] = max(0.0, float(weight))
         box_of[col] = row
-    cut = z_to_cut(ZPoint(tuple(z)))
+    cut = _known_cut(z)
     # degeneracy is decided from the reconstructed lengths, so a weight
     # straddling the tolerance cannot leave an essential tile behind
     allocation = tuple(

@@ -19,10 +19,15 @@ Built-in models:
 
 ``score_matrix`` is the one evaluation primitive: one check of the point,
 then every player's normalized scores, stacked; ``scores`` is its one-row
-case.  Search, brute force, verification and validation evaluate through
-it.  Points are checked where they enter from outside, in the public
-constructors of ``configspace``; the hot loops build points on faces they
-already know without the checks.
+case.  Search, brute force, verification and the equivariance,
+continuity and p_dte checks evaluate through it.  Loops that test one
+player at a time and stop early (covering, and the sources of the
+``reductions`` lifts) check the point once and normalize each player's
+plain list with the same ``_normalized``, which rejects negative, NaN and
+infinite scores wherever a row is normalized.  Points are checked where
+they enter from outside, in the public constructors of ``configspace``;
+the hot loops build points and cuts on faces they already know without
+the checks.
 
 Oracles must be pure and deterministic per (player, point): the solver
 evaluates them one at a time, in one thread, and reuses the averages it
@@ -102,11 +107,18 @@ def _domain(prefs: PreferenceMatrix, point):
 
 
 def _normalized(raw) -> list[float]:
-    """Raw scores divided by their ``math.fsum``; all zeros stay zero."""
+    """Raw scores divided by their ``math.fsum``; all zeros stay zero.
+
+    A negative score raises, and so does a NaN or infinite one, which would
+    otherwise pass every ``> PREFERENCE_TOL`` test as a score nobody wants.
+    """
     row = [float(v) for v in raw]
+    # not ``min(row) < 0``: a NaN hides a negative that follows it
     if any(v < 0 for v in row):
         raise ValueError(f"oracle produced a negative score: {row}")
     total = math.fsum(row)
+    if not math.isfinite(total):
+        raise ValueError(f"oracle produced a non-finite score: {row}")
     if total <= 0.0:
         return [0.0] * len(row)
     return [v / total for v in row]
@@ -209,18 +221,20 @@ class _PiecewiseTable:
             raise ValueError("piecewise values must be non-negative")
         self.xs = tuple(float(x) for x in xs)
         self.ys = tuple(float(y) for y in ys)
+        # per segment: its left end, left value, rise and run
+        self._segments = tuple(
+            (x0, y0, y1 - y0, x1 - x0)
+            for x0, x1, y0, y1 in zip(self.xs, self.xs[1:], self.ys, self.ys[1:])
+        )
 
     def __call__(self, z: float) -> float:
-        z = min(max(z, 0.0), 1.0)
+        z = 0.0 if z < 0.0 else (1.0 if z > 1.0 else z)
+        # xs[hi - 1] <= z < xs[hi], so the segment has a positive run
         hi = bisect_right(self.xs, z)
-        if hi >= len(self.xs):
+        if hi == len(self.xs):
             return self.ys[-1]
-        lo = hi - 1
-        x0, x1 = self.xs[lo], self.xs[hi]
-        y0, y1 = self.ys[lo], self.ys[hi]
-        if x1 == x0:
-            return y1
-        return y0 + (y1 - y0) * (z - x0) / (x1 - x0)
+        x0, y0, rise, run = self._segments[hi - 1]
+        return y0 + rise * (z - x0) / run
 
 
 _RANDOM_GRID = tuple(i / 7.0 for i in range(8))
@@ -256,12 +270,15 @@ def _piecewise_random_new(r, n_tiles, seed):
         z = point.cut.lengths
         tables = tile_tables[player - 1]
         content = content_tables[player - 1]
-        boxes = point.boxes()
-        out = []
-        for box, length in enumerate(point.box_lengths(), start=1):
-            tile_part = math.fsum(tables[t - 1](z[t - 1]) for t in boxes.get(box, ()))
-            out.append(RANDOM_FLOOR + content(length) + tile_part)
-        return out
+        # one walk over the allocation: box contents summed in tile order, as
+        # ``box_lengths`` does, and tile scores by ``fsum``, which is exact
+        lengths = [0.0] * point.r
+        parts = [[] for _ in lengths]
+        for tile, box in point.allocation:
+            v = z[tile - 1]
+            lengths[box - 1] += v
+            parts[box - 1].append(tables[tile - 1](v))
+        return [RANDOM_FLOOR + content(length) + math.fsum(part) for length, part in zip(lengths, parts)]
 
     return raw
 
@@ -407,7 +424,7 @@ def sample_lengths(rng, n_tiles: int, force_degenerate: bool = False) -> tuple[f
         idx = rng.choice(n_tiles, size=k, replace=False)
         z[idx] = 0.0
         z /= z.sum()
-    return tuple(float(v) for v in z)
+    return tuple(z.tolist())
 
 
 def sample_config_point(rng, variant: Variant, force_degenerate: bool = False) -> ConfigPoint:
@@ -452,8 +469,12 @@ def validate(
         force_deg = i % 2 == 1
         if property == "covering":
             point = _sample_domain(rng, prefs, force_deg)
+            domain = _domain(prefs, point)
             # player by player, stopping at the first who accepts a box
-            accepting = (scores(prefs, j, point).max(initial=0.0) > PREFERENCE_TOL for j in range(1, prefs.r + 1))
+            accepting = (
+                max(_normalized(prefs.raw(j, domain)), default=0.0) > PREFERENCE_TOL
+                for j in range(1, prefs.r + 1)
+            )
             if not any(accepting):
                 violations.append(_witness(point))
         elif property == "equivariance":

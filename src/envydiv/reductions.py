@@ -13,7 +13,16 @@ tiles by deleting superfluous cut-points, each box is scored by its tile's
 score in the reduced cut, and empty boxes split the degenerate score.  The
 reduction is computed along two different deletion orders, once per cut
 for all r players; every query compares the two, and any disagreement is
-reported as a partition-equivalence violation of the source.
+reported as a partition-equivalence violation of the source.  The memo of
+the last cut's reductions is one module-level entry (``_reductions``), not
+a cache per lifted oracle, so an oracle kept after its solve keeps no cut.
+
+Where checks run: each lift validates its source on seeded samples once,
+when it is built.  Queries of a lifted oracle check only the tile count of
+the point; the source is then called on the cut's own lengths (psi) or on
+the reduced lengths (phi), which have the source's r tiles by construction,
+and its rows go through the shared normalizer of ``preferences``, which
+rejects negative and non-finite scores.
 """
 
 from __future__ import annotations
@@ -36,8 +45,8 @@ from .preferences import (
     PREFERENCE_TOL,
     PreferenceMatrix,
     PreferenceValidationError,
+    _normalized,
     score_matrix,
-    scores,
     validate,
 )
 
@@ -107,8 +116,9 @@ def eliminate_superfluous(cut: Cut, keep: str = "left", tol: float = DEGENERACY_
 
 
 def _normalized_source_scores(source, player, lengths):
-    s = scores(source, player, lengths)
-    if float(s.sum()) <= 0.0:
+    """The source player's normalized scores at r tile lengths, as a list."""
+    s = _normalized(source.raw(player, lengths))
+    if max(s, default=0.0) <= 0.0:
         raise PreferenceValidationError(
             "source oracle accepts nothing at a sampled point (covering violated)"
         )
@@ -157,8 +167,9 @@ def psi(
             raise ValueError(f"expected a point with {r} tiles")
         z = point.cut.lengths
         s = _normalized_source_scores(old_prefs, player, z)
-        deg, _ = degenerate_and_essential(point.cut)
-        deg_score = float(s[min(deg) - 1]) if deg else 0.0
+        first_deg = next((label for label, v in enumerate(z, start=1) if v <= DEGENERACY_TOL), None)
+        deg = first_deg is not None
+        deg_score = s[first_deg - 1] if deg else 0.0
         boxes = point.boxes()
         out = []
         for box in range(1, r + 1):
@@ -167,17 +178,17 @@ def psi(
                 # every empty box carries the full degenerate score; the row
                 # normalization spreads the mass, and the value of a box that
                 # empties out stays continuous in the empty-box count
-                out.append(deg_score if deg else 0.0)
+                out.append(deg_score)
             elif len(tiles) == 2:
                 if r not in tiles:
                     raise ValueError("a shared box must contain the last tile")
-                out.append(max(float(s[t - 1]) for t in tiles))
+                out.append(max(s[t - 1] for t in tiles))
             elif tiles[0] != r:
-                out.append(float(s[tiles[0] - 1]))
+                out.append(s[tiles[0] - 1])
             elif deg:
-                out.append(max(float(s[r - 1]), deg_score))
+                out.append(max(s[r - 1], deg_score))
             else:
-                out.append(float(s[r - 1]))
+                out.append(s[r - 1])
         return out
 
     return ReducedPreferences(
@@ -207,6 +218,25 @@ def _check_short_last_tile(old_prefs, epsilon, check_samples, seed):
             )
 
 
+@lru_cache(maxsize=1)  # the r players query one point in turn
+def _reductions(cut: Cut, keep: str, other: str) -> dict:
+    """Per deletion order: the reduced lengths, the (full, reduced) labels of
+    the k-th essential tile, k = 1, 2, ..., and the first degenerate reduced label.
+
+    One entry for every phi lift, so the lifted oracles, which the caller
+    may keep, hold no cut; lifts that share the cut and deletion orders share
+    the entry.
+    """
+    _, ess_full = degenerate_and_essential(cut)
+    found = {}
+    for which in (keep, other):
+        reduced = eliminate_superfluous(cut, keep=which)
+        deg_reduced, ess_reduced = degenerate_and_essential(reduced)
+        labels = [(full, ess_reduced[k][1]) for k, (_, full) in enumerate(ess_full)]
+        found[which] = (reduced.lengths, labels, min(deg_reduced, default=None))
+    return found
+
+
 def phi(
     old_prefs: PreferenceMatrix,
     keep: str = "left",
@@ -233,19 +263,6 @@ def phi(
 
     other = "right" if keep == "left" else "left"
 
-    @lru_cache(maxsize=1)  # the r players query one point in turn
-    def reductions_of(cut):
-        """Per deletion order: the reduced lengths, the (full, reduced) labels of
-        the k-th essential tile, k = 1, 2, ..., and the first degenerate reduced label."""
-        _, ess_full = degenerate_and_essential(cut)
-        found = {}
-        for which in (keep, other):
-            reduced = eliminate_superfluous(cut, keep=which)
-            deg_reduced, ess_reduced = degenerate_and_essential(reduced)
-            labels = [(full, ess_reduced[k][1]) for k, (_, full) in enumerate(ess_full)]
-            found[which] = (reduced.lengths, labels, min(deg_reduced, default=None))
-        return found
-
     def box_scores(player, point, reduction):
         lengths, labels, first_degenerate = reduction
         s = _normalized_source_scores(old_prefs, player, lengths)
@@ -254,11 +271,11 @@ def phi(
         occupied = set()
         for full_label, reduced_label in labels:
             box = tile_to_box[full_label]
-            out[box - 1] = float(s[reduced_label - 1])
+            out[box - 1] = s[reduced_label - 1]
             occupied.add(box)
         empty = [b for b in range(1, r + 1) if b not in occupied]
         if first_degenerate is not None and empty:
-            deg_score = float(s[first_degenerate - 1])
+            deg_score = s[first_degenerate - 1]
             if deg_score > PREFERENCE_TOL:
                 share = deg_score / len(empty)
                 for b in empty:
@@ -268,7 +285,7 @@ def phi(
     def raw(player, point: ConfigPoint):
         if point.cut.tile_count != 2 * r - 1:
             raise ValueError(f"expected a point with {2 * r - 1} tiles")
-        reduction = reductions_of(point.cut)
+        reduction = _reductions(point.cut, keep, other)
         primary = box_scores(player, point, reduction[keep])
         mirror = box_scores(player, point, reduction[other])
         drift = max(abs(a - b) for a, b in zip(primary, mirror))

@@ -43,11 +43,10 @@ from .complexes import (
 from .configspace import (
     ConfigPoint,
     Cut,
-    ZPoint,
     _barycentric_point,
     _face_point,
+    _known_cut,
     point_from_barycentric,
-    z_to_cut,
 )
 from .preferences import (
     NEW,
@@ -734,7 +733,7 @@ def _grid_cuts(variant: Variant, grid_resolution: int):
             z = [0.0] * variant.cols
             for i, length in enumerate(base.lengths):
                 z[2 * i] = length
-            yield z_to_cut(ZPoint(tuple(z)))
+            yield _known_cut(z)
         else:
             yield Cut(pts)
 

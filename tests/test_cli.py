@@ -167,6 +167,31 @@ def test_brute_row_shuffled_oracle_exits_3(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["validation_failed"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--r", "3", "--space", "c1"],
+        ["brute", "--r", "3", "--space", "c1", "--grid", "7"],
+        ["validate", "--space", "c1", "--property", "covering", "--samples", "20"],
+    ],
+)
+def test_nan_scores_exit_4(capsys, tmp_path, monkeypatch, argv):
+    # no preference file describes a NaN score, so poison the loaded oracle
+    load = preferences.load_preference_file
+
+    def poisoned(*args, **kwargs):
+        prefs = load(*args, **kwargs)
+        raw = prefs.raw
+        prefs.raw = lambda player, point: [float("nan")] + list(raw(player, point))[1:]
+        return prefs
+
+    monkeypatch.setattr(preferences, "load_preference_file", poisoned)
+    prefs = write_prefs(tmp_path, "random.json", {"r": 3, "kind": "new", "model": "piecewise_random"})
+    code, out = run(capsys, argv + ["--prefs", prefs])
+    assert code == 4
+    assert "non-finite" in json.loads(out)["message"]
+
+
 def test_validate_command(capsys, tmp_path, hungry_new):
     code, out = run(
         capsys,

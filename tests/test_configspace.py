@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from envydiv.complexes import build_complex, chessboard, for_space, gorbushka_join, join_power
 from envydiv.configspace import (
+    DEGENERACY_TOL,
     ConfigPoint,
     Cut,
     ZPoint,
     _barycentric_point,
     _face_point,
+    _known_cut,
     act,
     canonicalize,
     cut_to_z,
@@ -304,3 +306,34 @@ def test_unchecked_points_equal_checked_ones(variant):
         relabelled = tuple((tile, sigma[box - 1]) for tile, box in checked.allocation)
         assert moved == ConfigPoint(variant, checked.cut, relabelled)
         assert _face_point(variant, checked.cut, checked.allocation) == checked
+
+
+def _known_cut_cases(rng):
+    """500 tile-length vectors: Dirichlet draws, half of them with forced
+    zeros, and draws with tiles just below, at and just above the degeneracy
+    tolerance."""
+    for i in range(500):
+        n = 2 + i % 7
+        z = rng.dirichlet(np.ones(n))
+        if i % 5 in (1, 2):
+            z[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 0.0
+        elif i % 5 == 3:
+            near = DEGENERACY_TOL * rng.choice([0.5, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 2.0], size=n)
+            z = np.where(rng.random(n) < 0.5, near, z)
+        z /= z.sum()
+        yield [float(v) for v in z]
+
+
+def test_known_cut_equals_checked_cut():
+    rng = np.random.default_rng(9)
+    straddling = 0
+    for z in _known_cut_cases(rng):
+        checked = z_to_cut(ZPoint(tuple(z)))
+        unchecked = _known_cut(z)
+        assert unchecked.points == checked.points, z
+        assert unchecked.lengths == checked.lengths, z
+        assert unchecked == checked and hash(unchecked) == hash(checked)
+        assert degenerate_and_essential(unchecked) == degenerate_and_essential(checked)
+        straddling += any(0.5 * DEGENERACY_TOL <= v <= 2 * DEGENERACY_TOL for v in checked.lengths)
+    assert straddling > 50
+

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from envydiv.preferences import (
     NEW,
     OLD,
     PREFERENCE_TOL,
+    RANDOM_FLOOR,
     PreferenceMatrix,
+    _PiecewiseTable,
+    _random_tables,
     load_preference_file,
     make_builtin,
     piecewise_from_tables,
@@ -302,3 +306,56 @@ def test_validation_makes_a_fixed_number_of_oracle_calls(model, params, space, p
     prefs, calls = _counted(make_builtin(model, 3, kind="new", params=params, variant=variant))
     validate(prefs, prop, sample_count=200, seed=0)
     assert calls[0] == expected
+
+
+def _table_reference(table, z):
+    """``_PiecewiseTable.__call__`` as first written: bisect, then interpolate."""
+    z = min(max(z, 0.0), 1.0)
+    xs, ys = table.xs, table.ys
+    hi = next((i for i, x in enumerate(xs) if x > z), len(xs))
+    if hi >= len(xs):
+        return ys[-1]
+    x0, x1, y0, y1 = xs[hi - 1], xs[hi], ys[hi - 1], ys[hi]
+    if x1 == x0:
+        return y1
+    return y0 + (y1 - y0) * (z - x0) / (x1 - x0)
+
+
+def test_piecewise_table_matches_the_reference_formula():
+    rng = np.random.default_rng(12)
+    tables = [
+        _PiecewiseTable([i / 7 for i in range(8)], rng.uniform(0, 1, 8)),
+        _PiecewiseTable([0.0, 0.02, 0.02, 0.5, 1.0], [0.0, 0.0, 0.7, 0.3, 0.9]),
+        _PiecewiseTable([0.0, 1.0], [0.4, 0.1]),
+    ]
+    inputs = [-0.3, -0.0, 0.0, 1e-12, 0.02, 0.5, 1.0 - 1e-16, 1.0, 1.7, float("nan")]
+    inputs += [i / 7 for i in range(8)] + rng.uniform(0, 1, 300).tolist()
+    for table in tables:
+        for z in inputs:
+            got, want = table(z), _table_reference(table, z)
+            assert got == want or (math.isnan(got) and math.isnan(want)), (table.xs, z)
+
+
+@pytest.mark.parametrize("space", ["c1", "c2", "c3"])
+def test_piecewise_random_new_matches_the_box_map_formula(space):
+    # the reference rebuilds the box map per player, as the model first did
+    r, seed = 4, 7
+    variant = for_space(space, r)
+    prefs = make_builtin("piecewise_random", r, kind=NEW, variant=variant, seed=seed)
+    table_rng = np.random.default_rng(seed)
+    tile_tables = [_random_tables(table_rng, variant.cols, pin_zero=True) for _ in range(r)]
+    content_tables = [_random_tables(table_rng, 1, pin_zero=False)[0] for _ in range(r)]
+    rng = np.random.default_rng(5)
+    for i in range(100):
+        point = sample_config_point(rng, variant, force_degenerate=i % 2 == 1)
+        z, boxes = point.cut.lengths, point.boxes()
+        for player in range(1, r + 1):
+            tables = tile_tables[player - 1]
+            want = [
+                RANDOM_FLOOR
+                + content_tables[player - 1](length)
+                + math.fsum(tables[t - 1](z[t - 1]) for t in boxes.get(box, ()))
+                for box, length in enumerate(point.box_lengths(), start=1)
+            ]
+            assert prefs.raw(player, point) == want
+

@@ -1,3 +1,6 @@
+import gc
+import types
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,8 @@ from envydiv.preferences import (
     scores,
     validate,
 )
-from envydiv.reductions import InadmissibleCutError, eliminate_superfluous, phi, psi
+from envydiv.reductions import InadmissibleCutError, _reductions, eliminate_superfluous, phi, psi
+from envydiv.solver import solve
 
 
 def trash_lover(r):
@@ -263,3 +267,66 @@ def test_phi_output_is_covering_and_equivariant():
     lifted = phi(make_builtin("hungry", 3))
     assert validate(lifted, "covering", 300, seed=4).passed
     assert validate(lifted, "equivariance", 300, seed=4, tol=1e-12).passed
+
+
+# ---------------------------------------------------------------------------
+# the phi memo
+
+
+def test_phi_memo_holds_one_entry():
+    rng = np.random.default_rng(31)
+    for r in (2, 3, 4):
+        lifts = [phi(make_builtin(name, r), keep=keep) for name in ("hungry", "burnt") for keep in ("left", "right")]
+        for i in range(40):
+            point = sample_config_point(rng, lifts[0].variant, force_degenerate=i % 2 == 1)
+            for lifted in lifts:
+                lifted.raw(1 + i % r, point)
+            assert _reductions.cache_info().currsize == 1
+
+
+def test_phi_memo_shared_by_lifts_matches_fresh_lifts():
+    # lifts of different sources and deletion orders take turns at one cut;
+    # each answer must equal that of a fresh lift with an empty memo
+    rng = np.random.default_rng(32)
+    r = 3
+    pairs = [
+        (lambda: make_builtin("hungry", r), "left"),
+        (lambda: make_builtin("burnt", r), "right"),
+        (lambda: make_builtin("hungry", r), "right"),
+        (lambda: make_builtin("burnt", r), "left"),
+    ]
+    shared = [phi(source(), keep=keep) for source, keep in pairs]
+    fresh = [phi(source(), keep=keep) for source, keep in pairs]
+    for i in range(60):
+        point = sample_config_point(rng, shared[0].variant, force_degenerate=i % 2 == 1)
+        for player in range(1, r + 1):
+            for lifted, reference in zip(shared, fresh):
+                got = lifted.raw(player, point)
+                _reductions.cache_clear()
+                assert got == reference.raw(player, point)
+
+
+def _reachable(root):
+    """Objects reachable from ``root`` through instance data and closures,
+    not through modules, classes or a function's globals."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+
+
+@pytest.mark.parametrize("lift, space", [(phi, "c2"), (psi, "c1")])
+def test_lifted_oracle_keeps_no_cut_after_solve(lift, space):
+    lifted = lift(make_builtin("hungry", 3))
+    solve(for_space(space, 3), lifted)
+    reached = list(_reachable(lifted))
+    assert any(obj is lifted.source for obj in reached)
+    assert not [obj for obj in reached if isinstance(obj, Cut)]

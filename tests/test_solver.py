@@ -12,15 +12,25 @@ from envydiv.complexes import (
     gorbushka_join,
     join_power,
 )
-from envydiv.configspace import _face_point, act, canonicalize, point_from_barycentric
+from envydiv.configspace import (
+    Cut,
+    ZPoint,
+    _face_point,
+    act,
+    canonicalize,
+    point_from_barycentric,
+    z_to_cut,
+)
 from envydiv.preferences import (
     BUILTIN_MODELS,
     PREFERENCE_TOL,
+    PreferenceMatrix,
     PreferenceValidationError,
     make_builtin,
     piecewise_from_tables,
     row_shuffled,
     sample_config_point,
+    validate,
 )
 from envydiv.reductions import phi, psi
 from envydiv.solver import (
@@ -602,6 +612,81 @@ def test_brute_force_points_equal_checked_points(space, r):
         essential = tuple(t for t, length in enumerate(cut.lengths, start=1) if length > 1e-9)
         for alloc in _canonical_allocations(variant, essential):
             assert _face_point(variant, cut, tuple(alloc.items())) == canonicalize(cut, alloc, variant)
+
+
+#: (space, r, grid) of the brute_force scans in the tests and the benchmark
+BRUTE_BOARDS = [
+    ("c1", 2, 51), ("c1", 3, 31), ("c1", 3, 21), ("c2", 3, 21), ("c3", 3, 21),
+    ("c1", 4, 9), ("c2", 4, 11), ("c3", 4, 7), ("c2", 2, 7), ("c2", 5, 7),
+]
+
+
+def _checked_grid_cuts(variant, grid):
+    """``_grid_cuts`` through the public, checked constructors."""
+    values = [i / (grid - 1) for i in range(grid)]
+    for pts in itertools.combinations_with_replacement(values, variant.rows - 1):
+        if variant.kind == "chessboard":
+            z = [0.0] * variant.cols
+            for i, length in enumerate(Cut(pts).lengths):
+                z[2 * i] = length
+            yield z_to_cut(ZPoint(tuple(z)))
+        else:
+            yield Cut(pts)
+
+
+@pytest.mark.parametrize("space, r, grid", BRUTE_BOARDS)
+def test_grid_cuts_equal_checked_cuts(space, r, grid):
+    variant = for_space(space, r)
+    count = 0
+    for cut, checked in itertools.zip_longest(_grid_cuts(variant, grid), _checked_grid_cuts(variant, grid)):
+        assert cut.points == checked.points
+        assert cut.lengths == checked.lengths
+        count += 1
+    assert count == len(list(itertools.combinations_with_replacement(range(grid), r - 1)))
+
+
+def _poisoned(prefs, value):
+    """The oracle with player 1's first raw score replaced by ``value``."""
+    raw = prefs.raw
+
+    def poisoned(player, point):
+        scores = list(raw(player, point))
+        if player == 1:
+            scores[0] = value
+        return scores
+
+    return PreferenceMatrix(
+        r=prefs.r, kind=prefs.kind, model=f"{prefs.model}+poisoned", raw=poisoned,
+        variant=prefs.variant, params=dict(prefs.params),
+    )
+
+
+@pytest.mark.parametrize(
+    "value, message", [(float("nan"), "non-finite"), (float("inf"), "non-finite"), (-0.5, "negative")]
+)
+def test_non_finite_or_negative_scores_raise(value, message):
+    # a NaN must not pass covering and equivariance: solve would then fail
+    # on a TypeError, and brute_force would certify infeasibility falsely
+    variant = gorbushka_join(3)
+    bad = _poisoned(make_builtin("piecewise_random", 3, kind="new", variant=variant), value)
+    with pytest.raises(ValueError, match=message) as raised:
+        solve(variant, bad)
+    assert not isinstance(raised.value, PreferenceValidationError)
+    with pytest.raises(ValueError, match=message):
+        brute_force(variant, bad, 7)
+    for prop in ("covering", "equivariance", "continuity"):
+        with pytest.raises(ValueError, match=message):
+            validate(bad, prop, 20, seed=0)
+    with pytest.raises(ValueError, match=message):
+        validate(_poisoned(make_builtin("hungry", 3), value), "covering", 20, seed=0)
+    # a phi source: rejected when lifted, and when it turns bad afterwards
+    with pytest.raises(ValueError, match=message):
+        phi(_poisoned(make_builtin("hungry", 3), value))
+    source = make_builtin("hungry", 3)
+    lifted = phi(source)
+    source.raw = _poisoned(source, value).raw
+    with pytest.raises(ValueError, match=message):
+        solve(for_space("c2", 3), lifted)
 
 
 def _counted(prefs):

@@ -8,8 +8,13 @@ built-in model and seeds 0 and 3; the old-style ``covering``, ``p_dte``
 and ``p_pe`` reports (200 samples) for r=2..4 of every built-in model and
 of the seeded psi and phi source tables, seeds 0 and 3; and ``solve`` of
 psi lifts onto c1 and phi lifts onto c2 for r=2..4, from ``hungry`` and
-from seeded breakpoint tables.  A run that raises prints the exception
-instead.  Run it on two source trees and diff the outputs:
+from seeded breakpoint tables.  It also prints, without an oracle, the
+Birkhoff terms, ``extract_assignment`` and ``bottleneck_assignment`` of
+seeded sparse, dense and row-only-stochastic mixes of permutations for
+r=2..6, ``eliminate_superfluous`` of seeded doubled cuts in both deletion
+orders, and ``z_to_cut`` of the same tile lengths.  A run that raises
+prints the exception instead.  Run it on two source trees and diff the
+outputs:
 
     PYTHONPATH=src python scripts/dump_outputs.py > after.txt
     PYTHONPATH=../other/src python scripts/dump_outputs.py > before.txt
@@ -27,6 +32,7 @@ import numpy as np
 
 from envydiv import complexes, preferences, reductions, solver
 from envydiv.cli import main as cli
+from envydiv.configspace import ZPoint, z_to_cut
 
 DEMOS = [("gale", 5), ("gale", 3), ("gorbushka", 3), ("burnt", 3), ("ppe", 4)]
 SPACES = [("c1", r) for r in (2, 3, 4)] + [("c2", r) for r in (2, 3)] + [("c3", r) for r in (2, 3, 4)]
@@ -34,13 +40,70 @@ BRUTE_GRID = 7
 VALIDATED = ("covering", "equivariance", "continuity")
 VALIDATED_OLD = ("covering", "p_dte", "p_pe")
 LIFT_EPSILON = 0.02
+#: (label, fewest and most permutations mixed, doubly stochastic)
+MIXES = [("sparse", 1, 4, True), ("dense", 10, 60, True), ("rows", 1, 4, False)]
+
+
+def _value(fn) -> str:
+    try:
+        return json.dumps(fn(), sort_keys=True)
+    except Exception as exc:  # the failure is part of the output
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _json(fn) -> str:
-    try:
-        return json.dumps(fn().to_json(), sort_keys=True)
-    except Exception as exc:  # the failure is part of the output
-        return f"{type(exc).__name__}: {exc}"
+    return _value(lambda: fn().to_json())
+
+
+def _mix(rng, r, fewest, most, balanced):
+    """Random weights on random permutation matrices; with ``balanced``
+    false, each row draws its own permutation, so only rows sum to 1."""
+    weights = rng.uniform(0.01, 1.0, size=int(rng.integers(fewest, most + 1)))
+    weights /= weights.sum()
+    out = np.zeros((r, r))
+    for w in weights:
+        if balanced:
+            out[np.arange(r), rng.permutation(r)] += w
+        else:
+            out[np.arange(r), rng.integers(r, size=r)] += w
+    return out
+
+
+def _dump_assignments() -> None:
+    for label, fewest, most, balanced in MIXES:
+        for r in (2, 3, 4, 5, 6):
+            rng = np.random.default_rng(r)
+            for seed in range(4):
+                m = solver.StochasticMatrix(_mix(rng, r, fewest, most, balanced))
+                tag = f"{label} r={r} seed={seed}"
+                print(f"birkhoff {tag} {_value(lambda: solver.birkhoff(m).terms)}")
+                print(f"extract {tag} {_value(lambda: solver.extract_assignment(m))}")
+                print(f"bottleneck {tag} {_value(lambda: solver.bottleneck_assignment(m))}")
+
+
+def _doubled_lengths(rng, r, degenerate):
+    """2r-1 tile lengths, ``degenerate`` of them exactly zero or 1e-10, below
+    the degeneracy tolerance, so cut-points collide and pin to the ends."""
+    z = rng.dirichlet(np.ones(2 * r - 1))
+    small = rng.choice(2 * r - 1, size=degenerate, replace=False)
+    z[small] = 0.0
+    z /= z.sum()
+    z[small[rng.uniform(size=degenerate) < 0.5]] = 1e-10
+    return tuple(z.tolist())
+
+
+def _dump_cuts() -> None:
+    for r in (2, 3, 4, 5):
+        rng = np.random.default_rng(10 + r)
+        for seed in range(8):
+            # the last seed has one degenerate tile too few to reduce
+            degenerate = r - 2 if seed == 7 else int(rng.integers(r - 1, 2 * r - 1))
+            z = _doubled_lengths(rng, r, degenerate)
+            cut = z_to_cut(ZPoint(z))
+            print(f"z_to_cut {json.dumps(z)} {json.dumps([cut.points, cut.lengths])}")
+            for keep in ("left", "right"):
+                reduced = _value(lambda: reductions.eliminate_superfluous(cut, keep=keep).points)
+                print(f"eliminate keep={keep} r={r} seed={seed} {reduced}")
 
 
 def _psi_source(r, seed):
@@ -74,6 +137,8 @@ def _lifted_solve(lift, space, r, source):
 
 
 def main() -> None:
+    _dump_assignments()
+    _dump_cuts()
     for name, r in DEMOS:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

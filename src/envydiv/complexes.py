@@ -165,11 +165,7 @@ _FACET_GENERATORS = {
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A complex given by its vertices and enumerated maximal simplices.
-
-    Completed complexes are immutable and may be shared freely between
-    concurrent readers.
-    """
+    """A complex given by its vertices and enumerated maximal simplices."""
 
     variant: Variant | None
     vertices: tuple[Cell, ...]
@@ -198,15 +194,6 @@ class SimplicialComplex:
 
     def total_faces(self) -> int:
         return sum(self.face_counts())
-
-    def to_json(self) -> dict:
-        return {
-            "variant": self.variant.to_json() if self.variant else None,
-            "vertices": [list(v) for v in self.vertices],
-            "maximal_simplices": [
-                [list(c) for c in s] for s in self.maximal_simplices
-            ],
-        }
 
 
 @lru_cache(maxsize=64)

@@ -8,12 +8,14 @@ the same canonical point.  Canonical points correspond one-to-one with
 weighted faces of the variant's complex: cell (box, tile) carries the tile's
 length as barycentric weight.
 
-All types are immutable values and every operation is pure.  The public
-constructors (``Cut``, ``ZPoint``, ``z_to_cut``, ``ConfigPoint``,
-``canonicalize``, ``point_from_barycentric``) check their input; points on
-faces a caller already knows (sampled or searched facets, canonical
-allocations, relabellings) skip the face check, and their cuts, built from
-lengths known to lie on the simplex, skip the cut checks too.
+All types are immutable values and every operation is pure.  A tile is
+degenerate when its length is at most ``DEGENERACY_TOL``, the one length
+threshold of the package.  The public constructors (``Cut``, ``ZPoint``,
+``ConfigPoint``, ``canonicalize``, ``point_from_barycentric``) check their
+input, and ``z_to_cut`` takes a checked ``ZPoint``; points on faces a
+caller already knows (sampled or searched facets, canonical allocations,
+relabellings) skip the face check, and their cuts, built from lengths known
+to lie on the simplex, skip the cut checks too.
 """
 
 from __future__ import annotations
@@ -84,33 +86,27 @@ def cut_to_z(cut: Cut) -> ZPoint:
 
 
 def z_to_cut(z: ZPoint) -> Cut:
-    points = []
-    acc = 0.0
-    for v in z.lengths[:-1]:
-        acc += v
-        points.append(_clamp01(acc))
-    return Cut(tuple(points))
+    return _known_cut(z.lengths)
 
 
-def degenerate_and_essential(
-    cut: Cut, tol: float = DEGENERACY_TOL
-) -> tuple[frozenset[int], tuple[tuple[Interval, int], ...]]:
+def degenerate_and_essential(cut: Cut) -> tuple[frozenset[int], tuple[tuple[Interval, int], ...]]:
     """Split tile labels into degenerate ones and essential (interval, label) pairs."""
     deg = []
     ess = []
     for label, length in enumerate(cut.lengths, start=1):
-        if length <= tol:
+        if length <= DEGENERACY_TOL:
             deg.append(label)
         else:
             ess.append((cut.tile(label), label))
     return frozenset(deg), tuple(ess)
 
 
-def partition_equivalent(a: Cut, b: Cut, tol: float = DEGENERACY_TOL) -> bool:
+def partition_equivalent(a: Cut, b: Cut) -> bool:
     """True iff both cuts produce the same set of non-degenerate tiles."""
-    ia, ib = ([interval for interval, _ in degenerate_and_essential(c, tol)[1]] for c in (a, b))
+    ia, ib = ([interval for interval, _ in degenerate_and_essential(c)[1]] for c in (a, b))
     return len(ia) == len(ib) and all(
-        abs(x[0] - y[0]) <= tol and abs(x[1] - y[1]) <= tol for x, y in zip(ia, ib)
+        abs(x[0] - y[0]) <= DEGENERACY_TOL and abs(x[1] - y[1]) <= DEGENERACY_TOL
+        for x, y in zip(ia, ib)
     )
 
 
@@ -146,9 +142,6 @@ class ConfigPoint:
     def support_cells(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted((box, tile) for tile, box in self.allocation))
 
-    def allocation_map(self) -> dict[int, int]:
-        return dict(self.allocation)
-
     def boxes(self) -> dict[int, tuple[int, ...]]:
         """Box label -> sorted tiles it holds (occupied boxes only)."""
         out: dict[int, list[int]] = {}
@@ -178,18 +171,13 @@ class ConfigPoint:
         }
 
 
-def canonicalize(
-    cut: Cut,
-    allocation: Mapping[int, int],
-    variant: Variant,
-    tol: float = DEGENERACY_TOL,
-) -> ConfigPoint:
+def canonicalize(cut: Cut, allocation: Mapping[int, int], variant: Variant) -> ConfigPoint:
     """Drop degenerate tiles from an allocation and validate the remainder.
 
     Idempotent, and constant on the equivalence class generated by
     reassigning degenerate tiles.
     """
-    deg, ess = degenerate_and_essential(cut, tol)
+    _, ess = degenerate_and_essential(cut)
     for tile, box in allocation.items():
         if not (1 <= tile <= variant.cols):
             raise ValueError(f"tile label {tile} outside 1..{variant.cols}")
@@ -212,9 +200,9 @@ def _face_point(variant: Variant, cut: Cut, allocation: tuple[tuple[int, int], .
 
 
 def _known_cut(z: Sequence[float]) -> Cut:
-    """``z_to_cut(ZPoint(z))`` without their checks, for non-negative float
-    lengths summing to 1: one cumulative pass sets the cut-points and the
-    tile lengths, bit for bit those of the checked path."""
+    """The cut of non-negative float tile lengths summing to 1, without the
+    ``Cut`` checks: one cumulative pass sets the cut-points, clamped to
+    [0, 1], and the tile lengths, bit for bit those ``Cut`` would compute."""
     points = []
     lengths = []
     acc = prev = 0.0
@@ -245,7 +233,6 @@ def point_from_barycentric(
     variant: Variant,
     placement: Iterable[tuple[int, int]],
     weights: Sequence[float],
-    tol: float = DEGENERACY_TOL,
 ) -> ConfigPoint:
     """Rebuild the canonical point of a weighted face of the complex.
 
@@ -264,10 +251,10 @@ def point_from_barycentric(
     total = math.fsum(w)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {total}")
-    return _barycentric_point(variant, tuple((int(i), int(j)) for i, j in cells), w, tol)
+    return _barycentric_point(variant, tuple((int(i), int(j)) for i, j in cells), w)
 
 
-def _barycentric_point(variant: Variant, face, weights: Sequence[float], tol: float = DEGENERACY_TOL) -> ConfigPoint:
+def _barycentric_point(variant: Variant, face, weights: Sequence[float]) -> ConfigPoint:
     """``point_from_barycentric`` without its checks, for a known face and weights summing to 1."""
     z = [0.0] * variant.cols
     box_of = {}
@@ -278,6 +265,6 @@ def _barycentric_point(variant: Variant, face, weights: Sequence[float], tol: fl
     # degeneracy is decided from the reconstructed lengths, so a weight
     # straddling the tolerance cannot leave an essential tile behind
     allocation = tuple(
-        (tile, box_of[tile]) for tile, length in enumerate(cut.lengths, start=1) if length > tol
+        (tile, box_of[tile]) for tile, length in enumerate(cut.lengths, start=1) if length > DEGENERACY_TOL
     )
     return _face_point(variant, cut, allocation)

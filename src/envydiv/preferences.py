@@ -51,10 +51,21 @@ import numpy as np
 
 from . import complexes
 from .complexes import Variant
-from .configspace import ConfigPoint, Cut, ZPoint, _barycentric_point, act, point_from_barycentric
+from .configspace import (
+    DEGENERACY_TOL,
+    ConfigPoint,
+    Cut,
+    ZPoint,
+    _barycentric_point,
+    act,
+    point_from_barycentric,
+)
 
 #: scores above this threshold count as "preferred"
 PREFERENCE_TOL = 1e-9
+
+#: ``continuity`` flags a score change above this multiple of the move
+MAX_SCORE_SLOPE = 1e4
 
 OLD = "old"
 NEW = "new"
@@ -110,13 +121,17 @@ def _normalized(raw) -> list[float]:
     """Raw scores divided by their ``math.fsum``; all zeros stay zero.
 
     A negative score raises, and so does a NaN or infinite one, which would
-    otherwise pass every ``> PREFERENCE_TOL`` test as a score nobody wants.
+    otherwise pass every ``> PREFERENCE_TOL`` test as a score nobody wants,
+    and so do finite scores whose sum overflows.
     """
     row = [float(v) for v in raw]
     # not ``min(row) < 0``: a NaN hides a negative that follows it
     if any(v < 0 for v in row):
         raise ValueError(f"oracle produced a negative score: {row}")
-    total = math.fsum(row)
+    try:
+        total = math.fsum(row)
+    except OverflowError:
+        raise ValueError(f"oracle scores overflow in their sum: {row}") from None
     if not math.isfinite(total):
         raise ValueError(f"oracle produced a non-finite score: {row}")
     if total <= 0.0:
@@ -447,7 +462,6 @@ def validate(
     sample_count: int = 1000,
     seed: int = 0,
     tol: float = 1e-9,
-    modulus: float = 1e4,
 ) -> ValidationReport:
     """Falsification-only check of one preference axiom on seeded samples.
 
@@ -488,7 +502,7 @@ def validate(
                 violations.append({"point": _witness(point), "sigma": list(sigma), "deviation": dev})
         elif property == "p_dte":
             z = sample_lengths(rng, prefs.r, force_degenerate=True)
-            deg = [i + 1 for i, v in enumerate(z) if v <= PREFERENCE_TOL]
+            deg = [i + 1 for i, v in enumerate(z) if v <= DEGENERACY_TOL]
             if len(deg) < 2:
                 continue
             s = score_matrix(prefs, z)[:, np.array(deg) - 1]
@@ -506,7 +520,7 @@ def validate(
             dev, dist, witness = _continuity_probe(rng, prefs, force_deg)
             if dist > 0:
                 max_dev = max(max_dev, dev)
-                if dev > modulus * dist + 1e-12:
+                if dev > MAX_SCORE_SLOPE * dist + 1e-12:
                     violations.append({"point": witness, "deviation": dev, "distance": dist})
 
     return ValidationReport(property, sample_count, violations, max_dev)
@@ -518,17 +532,17 @@ def _witness(point):
 
 def _repad_zeros(rng, z):
     """Move the zero-length tiles to random slots, preserving the partition."""
-    out = [v for v in z if v > PREFERENCE_TOL]
+    out = [v for v in z if v > DEGENERACY_TOL]
     for _ in range(len(z) - len(out)):
         out.insert(int(rng.integers(0, len(out) + 1)), 0.0)
     return tuple(out)
 
 
 def _ppe_clause_violation(prefs, z, z_alt):
-    ess = [i + 1 for i, v in enumerate(z) if v > PREFERENCE_TOL]
-    ess_alt = [i + 1 for i, v in enumerate(z_alt) if v > PREFERENCE_TOL]
-    deg = [i + 1 for i, v in enumerate(z) if v <= PREFERENCE_TOL]
-    deg_alt = [i + 1 for i, v in enumerate(z_alt) if v <= PREFERENCE_TOL]
+    ess = [i + 1 for i, v in enumerate(z) if v > DEGENERACY_TOL]
+    ess_alt = [i + 1 for i, v in enumerate(z_alt) if v > DEGENERACY_TOL]
+    deg = [i + 1 for i, v in enumerate(z) if v <= DEGENERACY_TOL]
+    deg_alt = [i + 1 for i, v in enumerate(z_alt) if v <= DEGENERACY_TOL]
     for j in range(1, prefs.r + 1):
         s = scores(prefs, j, z)
         s_alt = scores(prefs, j, z_alt)

@@ -51,6 +51,10 @@ from .preferences import (
 )
 
 
+#: seeded samples psi checks its source on
+PSI_CHECK_SAMPLES = 200
+
+
 class InadmissibleCutError(ValueError):
     """The cut has too few degenerate tiles to be reduced."""
 
@@ -63,7 +67,7 @@ class ReducedPreferences(PreferenceMatrix):
     epsilon: float | None = None
 
 
-def eliminate_superfluous(cut: Cut, keep: str = "left", tol: float = DEGENERACY_TOL) -> Cut:
+def eliminate_superfluous(cut: Cut, keep: str = "left") -> Cut:
     """Reduce a 2r-2 point cut to r-1 points with the same essential tiles.
 
     Deletion is deterministic: duplicate cut-points lose all but their
@@ -76,36 +80,31 @@ def eliminate_superfluous(cut: Cut, keep: str = "left", tol: float = DEGENERACY_
     points = cut.points
     if len(points) < 2 or len(points) % 2:
         raise ValueError(f"expected 2r-2 cut-points, got {len(points)}")
-    r = len(points) // 2 + 1
-    quota = r - 1
+    quota = len(points) // 2
 
-    # maximal runs of (tolerance-)equal values
-    blocks: list[list[int]] = [[0]]
-    for i in range(1, len(points)):
-        if points[i] - points[i - 1] <= tol:
+    at_zero = points[0] <= DEGENERACY_TOL
+    at_one = points[-1] >= 1.0 - DEGENERACY_TOL
+    # "right" is "left" read from 1 down to 0
+    if keep == "left":
+        order, start_pinned, end_pinned = range(len(points)), at_zero, at_one
+    else:
+        order, start_pinned, end_pinned = range(len(points) - 1, -1, -1), at_one, at_zero
+
+    # maximal runs of (tolerance-)equal values, in reading order
+    blocks: list[list[int]] = [[order[0]]]
+    for prev, i in zip(order, order[1:]):
+        if abs(points[i] - points[prev]) <= DEGENERACY_TOL:
             blocks[-1].append(i)
         else:
             blocks.append([i])
 
-    candidates: list[int] = []
-    if keep == "left":
-        for block in blocks:
-            candidates.extend(block[1:])
-        zero_block = blocks[0] if points[blocks[0][0]] <= tol else None
-        one_block = blocks[-1] if points[blocks[-1][-1]] >= 1.0 - tol else None
-        if zero_block:
-            candidates.append(zero_block[0])
-        if one_block:
-            candidates.append(one_block[0])
-    else:
-        for block in reversed(blocks):
-            candidates.extend(reversed(block[:-1]))
-        one_block = blocks[-1] if points[blocks[-1][-1]] >= 1.0 - tol else None
-        zero_block = blocks[0] if points[blocks[0][0]] <= tol else None
-        if one_block:
-            candidates.append(one_block[-1])
-        if zero_block:
-            candidates.append(zero_block[-1])
+    # every point of a block but the first read; then the first point read
+    # of the first and of the last block, where pinned to its interval end
+    candidates = [i for block in blocks for i in block[1:]]
+    if start_pinned:
+        candidates.append(blocks[0][0])
+    if end_pinned:
+        candidates.append(blocks[-1][0])
 
     if len(candidates) < quota:
         raise InadmissibleCutError(
@@ -125,12 +124,7 @@ def _normalized_source_scores(source, player, lengths):
     return s
 
 
-def psi(
-    old_prefs: PreferenceMatrix,
-    epsilon: float | None = None,
-    check_samples: int = 200,
-    seed: int = 0,
-) -> ReducedPreferences:
+def psi(old_prefs: PreferenceMatrix, epsilon: float | None = None) -> ReducedPreferences:
     """Lift an old-style oracle to boxes on the shared-last-tile space (c1).
 
     Box rules, given the source scores at the point's cut: every empty box
@@ -141,7 +135,8 @@ def psi(
     tiles exist.  Rows are then normalized to sum 1.
 
     ``epsilon`` is the length below which the source must give the last
-    tile a zero score; sampling enforces this and a breach raises.
+    tile a zero score.  ``PSI_CHECK_SAMPLES`` seeded samples check this and
+    the source's covering and p_dte; a breach raises.
     """
     if old_prefs.kind != OLD:
         raise ValueError("psi expects an old-style oracle")
@@ -155,12 +150,12 @@ def psi(
         raise ValueError("epsilon must be positive")
 
     for prop in ("covering", "p_dte"):
-        report = validate(old_prefs, prop, sample_count=check_samples, seed=seed)
+        report = validate(old_prefs, prop, sample_count=PSI_CHECK_SAMPLES)
         if not report.passed:
             raise PreferenceValidationError(
                 f"psi source fails {prop}: {len(report.violations)} violations"
             )
-    _check_short_last_tile(old_prefs, epsilon, check_samples, seed)
+    _check_short_last_tile(old_prefs, epsilon)
 
     def raw(player, point: ConfigPoint):
         if point.cut.tile_count != r:
@@ -203,13 +198,13 @@ def psi(
     )
 
 
-def _check_short_last_tile(old_prefs, epsilon, check_samples, seed):
+def _check_short_last_tile(old_prefs, epsilon):
     """Sample last-tile lengths in (0, epsilon) and demand a zero score."""
     r = old_prefs.r
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     lows = max(10 * DEGENERACY_TOL, epsilon * 1e-3)
-    for i in range(check_samples):
-        t = float(lows + (epsilon - lows) * (i + 0.5) / check_samples)
+    for i in range(PSI_CHECK_SAMPLES):
+        t = float(lows + (epsilon - lows) * (i + 0.5) / PSI_CHECK_SAMPLES)
         rest = rng.dirichlet(np.ones(r - 1)) * (1.0 - t)
         z = tuple(float(v) for v in rest) + (t,)
         if (score_matrix(old_prefs, z)[:, r - 1] > PREFERENCE_TOL).any():
@@ -241,21 +236,19 @@ def phi(
     old_prefs: PreferenceMatrix,
     keep: str = "left",
     check_samples: int = 120,
-    seed: int = 0,
-    consistency_tol: float = 1e-9,
 ) -> ReducedPreferences:
     """Lift a partition-equivalence oracle to boxes on the c2 space.
 
     The doubled cut is reduced with the requested deletion order and with
     the mirrored one, once per cut for all players; box scores that
-    disagree beyond ``consistency_tol`` mean the source is not
+    disagree beyond ``PREFERENCE_TOL`` mean the source is not
     partition-equivalent and raise an error.
     """
     if old_prefs.kind != OLD:
         raise ValueError("phi expects an old-style oracle")
     r = old_prefs.r
     for prop in ("covering", "p_pe"):
-        report = validate(old_prefs, prop, sample_count=check_samples, seed=seed)
+        report = validate(old_prefs, prop, sample_count=check_samples)
         if not report.passed:
             raise PreferenceValidationError(
                 f"phi source fails {prop}: {len(report.violations)} violations"
@@ -266,7 +259,7 @@ def phi(
     def box_scores(player, point, reduction):
         lengths, labels, first_degenerate = reduction
         s = _normalized_source_scores(old_prefs, player, lengths)
-        tile_to_box = point.allocation_map()
+        tile_to_box = dict(point.allocation)
         out = [0.0] * r
         occupied = set()
         for full_label, reduced_label in labels:
@@ -289,7 +282,7 @@ def phi(
         primary = box_scores(player, point, reduction[keep])
         mirror = box_scores(player, point, reduction[other])
         drift = max(abs(a - b) for a, b in zip(primary, mirror))
-        if drift > consistency_tol:
+        if drift > PREFERENCE_TOL:
             raise PreferenceValidationError(
                 f"superfluous-cut eliminations disagree by {drift:.3g}; "
                 "source is not partition-equivalent"

@@ -41,6 +41,7 @@ from .complexes import (
     build_complex,
 )
 from .configspace import (
+    DEGENERACY_TOL,
     ConfigPoint,
     Cut,
     _barycentric_point,
@@ -221,10 +222,6 @@ class BirkhoffDecomposition:
 
     terms: tuple[tuple[float, tuple[int, ...]], ...]  # (weight, boxes 1-based)
 
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(w for w, _ in self.terms)
-
     def reconstruct(self) -> np.ndarray:
         r = len(self.terms[0][1])
         out = np.zeros((r, r))
@@ -233,36 +230,18 @@ class BirkhoffDecomposition:
                 out[player, box - 1] += w
         return out
 
-    def to_json(self) -> dict:
-        return {"terms": [{"weight": w, "permutation": list(p)} for w, p in self.terms]}
-
-
-def _prune_affine_dependency(weights, perms, r):
-    """Drop one term of an over-long decomposition without moving its sum."""
-    k = len(perms)
-    mats = np.zeros((r * r + 1, k))
-    for idx, perm in enumerate(perms):
-        for player, box in enumerate(perm):
-            mats[player * r + (box - 1), idx] = 1.0
-        mats[-1, idx] = 1.0
-    _, _, vt = np.linalg.svd(mats)
-    c = vt[-1]
-    positive = [(weights[i] / c[i], i) for i in range(k) if c[i] > 1e-12]
-    if not positive:
-        c = -c
-        positive = [(weights[i] / c[i], i) for i in range(k) if c[i] > 1e-12]
-    t, _ = min(positive)
-    new_weights = [w - t * ci for w, ci in zip(weights, c)]
-    kept = [(w, p) for w, p in zip(new_weights, perms) if w > 1e-13]
-    return [w for w, _ in kept], [p for _, p in kept]
-
 
 def birkhoff(matrix: StochasticMatrix, tol: float = 1e-6) -> BirkhoffDecomposition:
-    """Greedy peeling into permutations, bounded to (r-1)^2 + 1 terms.
+    """Greedy peeling into at most (r-1)^2 + 1 permutations.
 
     Each round takes the lex-least permutation inside the positive support
-    and subtracts the smallest entry it picks.  If peeling leaves more terms
-    than the bound, affinely dependent terms are merged away.
+    and subtracts the smallest entry it picks, which empties that entry.
+    What is left lies on a proper face of the smallest face of the Birkhoff
+    polytope that held the matrix before the round (a support of s entries
+    in c components spans a face of dimension s - 2r + c; Brualdi and
+    Gibson, 1977).  The face dimension, at most (r-1)^2, drops every round,
+    so the bound holds without pruning.  Weights that miss a total of 1 by
+    more than 1e-6 raise MatchingError.
     """
     if matrix.residual > tol:
         raise ValueError(f"matrix is not doubly stochastic within {tol:.3g}")
@@ -270,7 +249,7 @@ def birkhoff(matrix: StochasticMatrix, tol: float = 1e-6) -> BirkhoffDecompositi
     a = matrix.entries.copy()
     weights: list[float] = []
     perms: list[tuple[int, ...]] = []
-    for _ in range(r * r + 1):
+    for _ in range((r - 1) ** 2 + 1):
         if a.max() <= 1e-11:
             break
         match = _first_above(a, 1e-12)
@@ -282,17 +261,11 @@ def birkhoff(matrix: StochasticMatrix, tol: float = 1e-6) -> BirkhoffDecompositi
                 )
             break
         w = float(min(a[p, match[p]] for p in range(r)))
-        if w <= 0.0:
-            break
         weights.append(w)
         perms.append(_one_based(match))
         for p in range(r):
             a[p, match[p]] -= w
         np.clip(a, 0.0, None, out=a)
-
-    bound = (r - 1) ** 2 + 1
-    while len(perms) > bound:
-        weights, perms = _prune_affine_dependency(weights, perms, r)
 
     total = math.fsum(weights)
     if abs(total - 1.0) > 1e-6:
@@ -616,7 +589,6 @@ def solve(
     variant: Variant,
     prefs: PreferenceMatrix,
     options: SearchOptions | None = None,
-    validate_prefs: bool = True,
 ) -> EnvyFreeDivision:
     """Search, average, and extract an envy-free assignment.
 
@@ -627,8 +599,7 @@ def solve(
     never claimed, only budget exhaustion.
     """
     opts = options or SearchOptions()
-    properties = ("covering", "equivariance") if validate_prefs else ()
-    prefs = _checked_oracle(variant, prefs, properties, opts.seed)
+    prefs = _checked_oracle(variant, prefs, ("covering", "equivariance"), opts.seed)
 
     if not _hypothesis_met(variant):
         logger.warning(
@@ -790,7 +761,7 @@ def brute_force(
 
     for cut in _grid_cuts(variant, grid_resolution):
         essential = tuple(
-            label for label, length in enumerate(cut.lengths, start=1) if length > 1e-9
+            label for label, length in enumerate(cut.lengths, start=1) if length > DEGENERACY_TOL
         )
         for alloc in _canonical_allocations(variant, essential):
             point = _face_point(variant, cut, tuple(alloc.items()))

@@ -44,11 +44,25 @@ def test_solve_is_byte_identical_across_runs(capsys, hungry_new):
     assert out1 == out2
 
 
-def test_solve_old_style_via_reduction(capsys, tmp_path):
-    prefs = write_prefs(
-        tmp_path, "lifted.json", {"r": 3, "kind": "old", "model": "hungry", "reduction": "psi"}
-    )
-    code, out = run(capsys, ["solve", "--r", "3", "--space", "c1", "--prefs", prefs])
+#: breakpoint tables that score nothing up to length 0.02, as psi requires
+PSI_TABLES = {
+    str(player): {str(tile): [[0.0, 0.0], [0.02, 0.0], [1.0, 1.0]] for tile in (1, 2, 3)}
+    for player in (1, 2, 3)
+}
+
+
+@pytest.mark.parametrize(
+    "space, payload",
+    [
+        ("c1", {"r": 3, "kind": "old", "model": "hungry", "reduction": "psi"}),
+        ("c2", {"r": 3, "kind": "old", "model": "hungry", "reduction": "phi"}),
+        ("c1", {"r": 3, "model": "piecewise", "tables": PSI_TABLES, "reduction": "psi", "epsilon": 0.02}),
+    ],
+    ids=["psi", "phi", "piecewise-psi"],
+)
+def test_solve_old_style_via_reduction(capsys, tmp_path, space, payload):
+    prefs = write_prefs(tmp_path, "lifted.json", payload)
+    code, out = run(capsys, ["solve", "--r", "3", "--space", space, "--prefs", prefs])
     assert code == 0
     assert json.loads(out)["residual"] <= 1e-6
 
@@ -91,9 +105,19 @@ def test_malformed_json_exits_4(capsys, tmp_path):
     assert code == 4
 
 
-def test_unknown_model_exits_4(capsys, tmp_path):
-    prefs = write_prefs(tmp_path, "odd.json", {"r": 3, "kind": "new", "model": "nougat"})
-    code, out = run(capsys, ["solve", "--r", "3", "--space", "c1", "--prefs", prefs])
+@pytest.mark.parametrize(
+    "space, payload",
+    [
+        ("c1", {"r": 3, "kind": "new", "model": "nougat"}),
+        ("c2", {"r": 3, "kind": "old", "model": "hungry", "reduction": "psi"}),
+        ("c1", {"r": 3, "kind": "old", "model": "hungry", "reduction": "phi"}),
+        ("c1", {"r": 3, "kind": "old", "model": "hungry", "reduction": "sigma"}),
+    ],
+    ids=["model", "psi-on-c2", "phi-on-c1", "reduction"],
+)
+def test_unknown_model_exits_4(capsys, tmp_path, space, payload):
+    prefs = write_prefs(tmp_path, "odd.json", payload)
+    code, out = run(capsys, ["solve", "--r", "3", "--space", space, "--prefs", prefs])
     assert code == 4
     assert json.loads(out)["input_error"]
 
@@ -190,6 +214,22 @@ def test_nan_scores_exit_4(capsys, tmp_path, monkeypatch, argv):
     code, out = run(capsys, argv + ["--prefs", prefs])
     assert code == 4
     assert "non-finite" in json.loads(out)["message"]
+
+
+def test_overflowing_scores_exit_4(capsys, tmp_path, monkeypatch):
+    # finite scores whose sum overflows: no preference file describes them
+    load = preferences.load_preference_file
+
+    def huge(*args, **kwargs):
+        prefs = load(*args, **kwargs)
+        prefs.raw = lambda player, point: [1e308] * prefs.r
+        return prefs
+
+    monkeypatch.setattr(preferences, "load_preference_file", huge)
+    prefs = write_prefs(tmp_path, "random.json", {"r": 3, "kind": "new", "model": "piecewise_random"})
+    code, out = run(capsys, ["validate", "--space", "c1", "--property", "covering", "--samples", "5", "--prefs", prefs])
+    assert code == 4
+    assert "overflow" in json.loads(out)["message"]
 
 
 def test_validate_command(capsys, tmp_path, hungry_new):

@@ -274,11 +274,3 @@ def test_pseudomanifold_rejects_mixed_dimension():
     )
     with pytest.raises(NotPureComplexError):
         is_pseudomanifold(cx)
-
-
-def test_complex_json_shape():
-    cx = build_complex(gorbushka_join(2))
-    doc = cx.to_json()
-    assert doc["variant"] == {"kind": "gorbushka_join", "rows": 2, "cols": 2}
-    assert sorted(map(tuple, doc["vertices"])) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    assert len(doc["maximal_simplices"]) == 4

@@ -221,6 +221,14 @@ def test_point_from_barycentric_rejects_bad_input():
         point_from_barycentric(gorbushka_join(3), [(1, 1), (2, 2)], (0.5,))
     with pytest.raises(ValueError):
         point_from_barycentric(gorbushka_join(3), [(1, 1), (2, 2)], (0.9, 0.9))
+    with pytest.raises(ValueError, match="non-negative"):
+        point_from_barycentric(gorbushka_join(3), [(1, 1), (2, 2)], (1.5, -0.5))
+
+
+def test_config_point_rejects_wrong_tile_count():
+    for points in ((0.5,), (0.2, 0.4, 0.6)):
+        with pytest.raises(ValueError, match="tiles"):
+            ConfigPoint(gorbushka_join(3), Cut(points), ((1, 1),))
 
 
 @settings(max_examples=80, deadline=None)
@@ -324,16 +332,27 @@ def _known_cut_cases(rng):
         yield [float(v) for v in z]
 
 
+def _checked_cut(z):
+    """The cut of tile lengths through ``Cut``'s checks: running sums,
+    clamped to [0, 1]."""
+    points = []
+    acc = 0.0
+    for v in z[:-1]:
+        acc += v
+        points.append(min(max(acc, 0.0), 1.0))
+    return Cut(tuple(points))
+
+
 def test_known_cut_equals_checked_cut():
     rng = np.random.default_rng(9)
     straddling = 0
     for z in _known_cut_cases(rng):
-        checked = z_to_cut(ZPoint(tuple(z)))
-        unchecked = _known_cut(z)
-        assert unchecked.points == checked.points, z
-        assert unchecked.lengths == checked.lengths, z
-        assert unchecked == checked and hash(unchecked) == hash(checked)
-        assert degenerate_and_essential(unchecked) == degenerate_and_essential(checked)
+        checked = _checked_cut(z)
+        for unchecked in (_known_cut(z), z_to_cut(ZPoint(tuple(z)))):
+            assert unchecked.points == checked.points, z
+            assert unchecked.lengths == checked.lengths, z
+            assert unchecked == checked and hash(unchecked) == hash(checked)
+            assert degenerate_and_essential(unchecked) == degenerate_and_essential(checked)
         straddling += any(0.5 * DEGENERACY_TOL <= v <= 2 * DEGENERACY_TOL for v in checked.lengths)
     assert straddling > 50
 

@@ -172,6 +172,20 @@ def test_validate_continuity_builtins():
         assert validate(prefs, "continuity", 300, seed=5).passed, name
 
 
+def test_validate_continuity_flags_a_step():
+    # a score that jumps as a tile leaves length zero
+    step = PreferenceMatrix(r=3, kind=OLD, model="step", raw=lambda j, z: [2.0 if v > 0 else 1.0 for v in z])
+    report = validate(step, "continuity", 20, seed=0)
+    assert not report.passed
+    assert all(v["deviation"] > 1e4 * v["distance"] for v in report.violations)
+
+
+def test_finite_scores_overflowing_their_sum_raise():
+    huge = PreferenceMatrix(r=2, kind=OLD, model="x", raw=lambda j, z: [1e308, 1e308])
+    with pytest.raises(ValueError, match="overflow"):
+        validate(huge, "covering", 5)
+
+
 def test_validate_kind_checks():
     old = make_builtin("hungry", 3)
     new = make_builtin("hungry", 3, kind=NEW, variant=gorbushka_join(3))

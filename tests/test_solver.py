@@ -64,8 +64,8 @@ from envydiv.solver import (
 import oracles
 
 
-def random_doubly_stochastic(rng, r, max_terms=10):
-    k = int(rng.integers(1, max_terms + 1))
+def random_doubly_stochastic(rng, r, max_terms=10, min_terms=1):
+    k = int(rng.integers(min_terms, max_terms + 1))
     weights = np.maximum(rng.uniform(size=k), 0.01)
     weights /= weights.sum()
     out = np.zeros((r, r))
@@ -159,13 +159,20 @@ def test_birkhoff_rejects_unbalanced_input():
     skew = StochasticMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         birkhoff(skew, tol=1e-6)
+    # within a loose tolerance the peel finds no permutation and keeps no mass
+    with pytest.raises(MatchingError, match="far from 1"):
+        birkhoff(skew, tol=1.0)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_birkhoff_random_mixes(r):
     rng = np.random.default_rng(100 + r)
-    for _ in range(40):
-        m = StochasticMatrix(random_doubly_stochastic(rng, r))
+    # sparse mixes, then dense ones of 30-60 permutations, where greedy
+    # peeling has the most room to exceed the bound
+    mixes = [random_doubly_stochastic(rng, r) for _ in range(40)]
+    mixes += [random_doubly_stochastic(rng, r, max_terms=60, min_terms=30) for _ in range(20)]
+    for entries in mixes:
+        m = StochasticMatrix(entries)
         decomposition = birkhoff(m)
         assert len(decomposition.terms) <= (r - 1) ** 2 + 1
         assert np.abs(decomposition.reconstruct() - m.entries).max() <= 1e-9

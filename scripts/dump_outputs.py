@@ -11,7 +11,8 @@ psi lifts onto c1 and phi lifts onto c2 for r=2..4, from ``hungry`` and
 from seeded breakpoint tables.  It also prints, without an oracle, the
 Birkhoff terms, ``extract_assignment`` and ``bottleneck_assignment`` of
 seeded sparse, dense and row-only-stochastic mixes of permutations for
-r=2..6, ``eliminate_superfluous`` of seeded doubled cuts in both deletion
+r=2..6, and of dense mixes nudged off the Birkhoff polytope within the
+residual tolerance, ``eliminate_superfluous`` of seeded doubled cuts in both deletion
 orders, and ``z_to_cut`` of the same tile lengths.  A run that raises
 prints the exception instead.  Run it on two source trees and diff the
 outputs:
@@ -40,8 +41,13 @@ BRUTE_GRID = 7
 VALIDATED = ("covering", "equivariance", "continuity")
 VALIDATED_OLD = ("covering", "p_dte", "p_pe")
 LIFT_EPSILON = 0.02
-#: (label, fewest and most permutations mixed, doubly stochastic)
-MIXES = [("sparse", 1, 4, True), ("dense", 10, 60, True), ("rows", 1, 4, False)]
+#: (label, fewest and most permutations mixed, doubly stochastic, nudged)
+MIXES = [
+    ("sparse", 1, 4, True, False),
+    ("dense", 10, 60, True, False),
+    ("rows", 1, 4, False, False),
+    ("near", 10, 60, True, True),
+]
 
 
 def _value(fn) -> str:
@@ -69,12 +75,28 @@ def _mix(rng, r, fewest, most, balanced):
     return out
 
 
+def _nudged(rng, m):
+    """``m`` with 1e-8 to 1e-6 of each row's mass moved between two of its
+    entries: rows still sum to 1, and the column averages miss 1/r by at
+    most 1e-6, within the residual tolerance."""
+    r = len(m)
+    for row in m:
+        j, k = rng.choice(r, size=2, replace=False)
+        d = min(10 ** rng.uniform(-8, -6), row[k])
+        row[j] += d
+        row[k] -= d
+    return m
+
+
 def _dump_assignments() -> None:
-    for label, fewest, most, balanced in MIXES:
+    for label, fewest, most, balanced, nudged in MIXES:
         for r in (2, 3, 4, 5, 6):
             rng = np.random.default_rng(r)
             for seed in range(4):
-                m = solver.StochasticMatrix(_mix(rng, r, fewest, most, balanced))
+                entries = _mix(rng, r, fewest, most, balanced)
+                if nudged:
+                    entries = _nudged(rng, entries)
+                m = solver.StochasticMatrix(entries)
                 tag = f"{label} r={r} seed={seed}"
                 print(f"birkhoff {tag} {_value(lambda: solver.birkhoff(m).terms)}")
                 print(f"extract {tag} {_value(lambda: solver.extract_assignment(m))}")

@@ -73,13 +73,18 @@ class BudgetExhausted(RuntimeError):
         self.best = best
 
 
+#: How far the column averages of a score matrix may sit from 1/r for it to
+#: count as doubly stochastic, and the residual the search aims for.
+RESIDUAL_TOL = 1e-6
+
+
 @dataclass
 class SearchOptions:
     """Knobs for the search, which is deterministic; ``seed`` only seeds the
     sampled validation in ``solve``.  The grid stops doubling once the next
     one would take more than ``coarse_budget`` evaluations."""
 
-    tolerance: float = 1e-6
+    tolerance: float = RESIDUAL_TOL
     coarse_budget: int = 200_000
     seed: int = 0
 
@@ -189,23 +194,20 @@ def _one_based(perm: np.ndarray) -> tuple[int, ...]:
     return tuple(int(b) + 1 for b in perm)
 
 
-def extract_assignment(matrix: StochasticMatrix, tol: float = 1e-6) -> tuple[int, ...]:
+def extract_assignment(matrix: StochasticMatrix) -> tuple[int, ...]:
     """Permutation giving every player a positively scored box (1-based).
 
-    Requires an approximately doubly stochastic input; ties are broken by
-    returning the lexicographically least valid permutation.
+    Requires column averages within RESIDUAL_TOL of 1/r; ties are broken by
+    returning the lexicographically least valid permutation.  Such a
+    matrix always has one: k rows whose entries above PREFERENCE_TOL sat in
+    k - 1 columns would put nearly k units of mass where at most
+    (k - 1)(1 + r * RESIDUAL_TOL) fits (Hall's condition).
     """
-    if matrix.residual > tol:
+    if matrix.residual > RESIDUAL_TOL:
         raise ValueError(
-            f"residual {matrix.residual:.3g} exceeds tolerance {tol:.3g}"
+            f"residual {matrix.residual:.3g} exceeds tolerance {RESIDUAL_TOL:.3g}"
         )
-    match = _first_above(matrix.entries, PREFERENCE_TOL)
-    if match is None:
-        raise MatchingError(
-            "no perfect matching on positive entries; the residual tolerance "
-            "was too loose -- tighten it and search again"
-        )
-    return _one_based(match)
+    return _one_based(_first_above(matrix.entries, PREFERENCE_TOL))
 
 
 def bottleneck_assignment(matrix: StochasticMatrix) -> tuple[int, ...]:
@@ -231,20 +233,25 @@ class BirkhoffDecomposition:
         return out
 
 
-def birkhoff(matrix: StochasticMatrix, tol: float = 1e-6) -> BirkhoffDecomposition:
+def birkhoff(matrix: StochasticMatrix) -> BirkhoffDecomposition:
     """Greedy peeling into at most (r-1)^2 + 1 permutations.
 
     Each round takes the lex-least permutation inside the positive support
     and subtracts the smallest entry it picks, which empties that entry.
-    What is left lies on a proper face of the smallest face of the Birkhoff
-    polytope that held the matrix before the round (a support of s entries
-    in c components spans a face of dimension s - 2r + c; Brualdi and
-    Gibson, 1977).  The face dimension, at most (r-1)^2, drops every round,
-    so the bound holds without pruning.  Weights that miss a total of 1 by
-    more than 1e-6 raise MatchingError.
+    The remainder keeps equal row sums, and its column sums keep their
+    offsets d from them, so it lies in the span of matrices on its support
+    whose row sums are equal and whose column sums differ from them by a
+    multiple of d.  That span has dimension at most (r-1)^2 + 2, one more
+    than the doubly stochastic one (a support of s entries in c components
+    spans a face of dimension s - 2r + c; Brualdi and Gibson, 1977), and it
+    shrinks every round, since the peeled permutation leaves it.  With
+    d = 0 the last round leaves nothing; otherwise the remainder is never
+    zero and keeps a dimension.  Either way the bound holds without
+    pruning.  Weights that miss a total of 1 by more than RESIDUAL_TOL
+    raise MatchingError.
     """
-    if matrix.residual > tol:
-        raise ValueError(f"matrix is not doubly stochastic within {tol:.3g}")
+    if matrix.residual > RESIDUAL_TOL:
+        raise ValueError(f"matrix is not doubly stochastic within {RESIDUAL_TOL:.3g}")
     r = matrix.r
     a = matrix.entries.copy()
     weights: list[float] = []
@@ -254,7 +261,7 @@ def birkhoff(matrix: StochasticMatrix, tol: float = 1e-6) -> BirkhoffDecompositi
             break
         match = _first_above(a, 1e-12)
         if match is None:
-            if a.max() > 10 * max(tol, 1e-9):
+            if a.max() > 10 * RESIDUAL_TOL:
                 raise MatchingError(
                     "support lost a perfect matching before the mass was "
                     "exhausted; input is not doubly stochastic within tolerance"
@@ -268,7 +275,7 @@ def birkhoff(matrix: StochasticMatrix, tol: float = 1e-6) -> BirkhoffDecompositi
         np.clip(a, 0.0, None, out=a)
 
     total = math.fsum(weights)
-    if abs(total - 1.0) > 1e-6:
+    if abs(total - 1.0) > RESIDUAL_TOL:
         raise MatchingError(f"decomposed mass {total} is far from 1")
     weights = [w / total for w in weights]
     return BirkhoffDecomposition(tuple(zip(weights, perms)))

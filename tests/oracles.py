@@ -14,9 +14,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from envydiv.configspace import canonicalize
+from envydiv.configspace import Cut, canonicalize
 from envydiv.preferences import PREFERENCE_TOL, scores
 from envydiv.solver import BruteForceResult, _grid_cuts
+
+
+def checked_cut(z) -> Cut:
+    """The cut of tile lengths ``z`` through ``Cut``'s checks: running sums,
+    clamped to [0, 1]."""
+    points = []
+    acc = 0.0
+    for v in z[:-1]:
+        acc += v
+        points.append(min(max(acc, 0.0), 1.0))
+    return Cut(tuple(points))
 
 
 def non_attacking(cells) -> bool:

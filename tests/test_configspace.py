@@ -21,6 +21,8 @@ from envydiv.configspace import (
     z_to_cut,
 )
 
+import oracles
+
 
 def lengths() -> st.SearchStrategy:
     return st.integers(min_value=0, max_value=20)
@@ -332,22 +334,11 @@ def _known_cut_cases(rng):
         yield [float(v) for v in z]
 
 
-def _checked_cut(z):
-    """The cut of tile lengths through ``Cut``'s checks: running sums,
-    clamped to [0, 1]."""
-    points = []
-    acc = 0.0
-    for v in z[:-1]:
-        acc += v
-        points.append(min(max(acc, 0.0), 1.0))
-    return Cut(tuple(points))
-
-
 def test_known_cut_equals_checked_cut():
     rng = np.random.default_rng(9)
     straddling = 0
     for z in _known_cut_cases(rng):
-        checked = _checked_cut(z)
+        checked = oracles.checked_cut(z)
         for unchecked in (_known_cut(z), z_to_cut(ZPoint(tuple(z)))):
             assert unchecked.points == checked.points, z
             assert unchecked.lengths == checked.lengths, z

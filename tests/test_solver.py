@@ -14,12 +14,10 @@ from envydiv.complexes import (
 )
 from envydiv.configspace import (
     Cut,
-    ZPoint,
     _face_point,
     act,
     canonicalize,
     point_from_barycentric,
-    z_to_cut,
 )
 from envydiv.preferences import (
     BUILTIN_MODELS,
@@ -36,6 +34,7 @@ from envydiv.reductions import phi, psi
 from envydiv.solver import (
     BudgetExhausted,
     EnvyFreeDivision,
+    RESIDUAL_TOL,
     MatchingError,
     SearchOptions,
     StochasticMatrix,
@@ -74,6 +73,19 @@ def random_doubly_stochastic(rng, r, max_terms=10, min_terms=1):
         for i, j in enumerate(perm):
             out[i, j] += w
     return out
+
+
+def nudged(rng, m):
+    """``m`` with 1e-9 to 1e-6 of each row's mass moved between two of its
+    entries: rows still sum to 1, and the column averages miss 1/r by at
+    most 1e-6, within RESIDUAL_TOL."""
+    r = len(m)
+    for row in m:
+        j, k = rng.choice(r, size=2, replace=False)
+        d = min(10 ** rng.uniform(-9, -6), row[k])
+        row[j] += d
+        row[k] -= d
+    return m
 
 
 def test_stochastic_matrix_validation():
@@ -127,9 +139,7 @@ def test_extract_assignment_examples():
 def test_extract_assignment_residual_precondition():
     skew = StochasticMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
-        extract_assignment(skew, tol=1e-6)
-    with pytest.raises(MatchingError):
-        extract_assignment(skew, tol=1.0)
+        extract_assignment(skew)
 
 
 def test_bottleneck_assignment_maximizes_min_score():
@@ -158,10 +168,13 @@ def test_birkhoff_examples():
 def test_birkhoff_rejects_unbalanced_input():
     skew = StochasticMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
-        birkhoff(skew, tol=1e-6)
-    # within a loose tolerance the peel finds no permutation and keeps no mass
+        birkhoff(skew)
+    # column averages 0.5 +- 0.9e-6 pass the residual check, but two peels
+    # leave 1.8e-6 of each row's mass in the first column
+    lopsided = StochasticMatrix(np.array([[0.5 + 9e-7, 0.5 - 9e-7]] * 2))
+    assert lopsided.residual <= RESIDUAL_TOL
     with pytest.raises(MatchingError, match="far from 1"):
-        birkhoff(skew, tol=1.0)
+        birkhoff(lopsided)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
@@ -178,6 +191,30 @@ def test_birkhoff_random_mixes(r):
         assert np.abs(decomposition.reconstruct() - m.entries).max() <= 1e-9
         assert sum(w for w, _ in decomposition.terms) == pytest.approx(1.0, abs=1e-9)
         assert all(w > 0 for w, _ in decomposition.terms)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_birkhoff_and_extract_on_nudged_mixes(r):
+    """Inputs off the Birkhoff polytope but within RESIDUAL_TOL: the peel
+    keeps the term bound and drops at most RESIDUAL_TOL of each row's mass,
+    or raises; extract_assignment always finds the lex-least matching."""
+    rng = np.random.default_rng(300 + r)
+    decomposed = 0
+    for _ in range(40):
+        entries = nudged(rng, random_doubly_stochastic(rng, r, max_terms=60, min_terms=10))
+        m = StochasticMatrix(entries)
+        assert m.residual <= RESIDUAL_TOL
+        sigma = oracles.lex_least_above(entries.tolist(), PREFERENCE_TOL)
+        assert extract_assignment(m) == tuple(b + 1 for b in sigma)
+        try:
+            decomposition = birkhoff(m)
+        except MatchingError as exc:
+            assert "far from 1" in str(exc)
+            continue
+        decomposed += 1
+        assert len(decomposition.terms) <= (r - 1) ** 2 + 1
+        assert np.abs(decomposition.reconstruct() - entries).max() <= 2 * RESIDUAL_TOL
+    assert decomposed >= 10
 
 
 def thirds_mix(rng, r):
@@ -636,7 +673,7 @@ def _checked_grid_cuts(variant, grid):
             z = [0.0] * variant.cols
             for i, length in enumerate(Cut(pts).lengths):
                 z[2 * i] = length
-            yield z_to_cut(ZPoint(tuple(z)))
+            yield oracles.checked_cut(z)
         else:
             yield Cut(pts)
 

@@ -13,7 +13,9 @@ Birkhoff terms, ``extract_assignment`` and ``bottleneck_assignment`` of
 seeded sparse, dense and row-only-stochastic mixes of permutations for
 r=2..6, and of dense mixes nudged off the Birkhoff polytope within the
 residual tolerance, ``eliminate_superfluous`` of seeded doubled cuts in both deletion
-orders, and ``z_to_cut`` of the same tile lengths.  A run that raises
+orders, ``z_to_cut`` of the same tile lengths, and the first 20
+``sample_config_point`` points, degenerate tiles forced on odd draws, of
+c1 r=5,6, c2 r=4,5, c3 r=5,6 and chessboards 4x3 and 5x2.  A run that raises
 prints the exception instead.  Run it on two source trees and diff the
 outputs:
 
@@ -36,6 +38,11 @@ from envydiv.cli import main as cli
 from envydiv.configspace import ZPoint, z_to_cut
 
 DEMOS = [("gale", 5), ("gale", 3), ("gorbushka", 3), ("burnt", 3), ("ppe", 4)]
+SAMPLED = [
+    *(complexes.for_space(space, r) for space, r in (("c1", 5), ("c1", 6), ("c2", 4), ("c2", 5), ("c3", 5), ("c3", 6))),
+    complexes.chessboard(4, 3),
+    complexes.chessboard(5, 2),
+]
 SPACES = [("c1", r) for r in (2, 3, 4)] + [("c2", r) for r in (2, 3)] + [("c3", r) for r in (2, 3, 4)]
 BRUTE_GRID = 7
 VALIDATED = ("covering", "equivariance", "continuity")
@@ -128,6 +135,15 @@ def _dump_cuts() -> None:
                 print(f"eliminate keep={keep} r={r} seed={seed} {reduced}")
 
 
+def _dump_samples() -> None:
+    for variant in SAMPLED:
+        rng = np.random.default_rng(0)
+        board = f"{variant.kind} {variant.rows}x{variant.cols}"
+        for i in range(20):
+            point = _json(lambda: preferences.sample_config_point(rng, variant, i % 2 == 1))
+            print(f"sample {board} i={i} {point}")
+
+
 def _psi_source(r, seed):
     """Tables that score nothing up to LIFT_EPSILON, as psi requires."""
     rng = np.random.default_rng(seed)
@@ -161,6 +177,7 @@ def _lifted_solve(lift, space, r, source):
 def main() -> None:
     _dump_assignments()
     _dump_cuts()
+    _dump_samples()
     for name, r in DEMOS:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

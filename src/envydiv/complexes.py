@@ -24,6 +24,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb, factorial, perm
 
 Cell = tuple[int, int]
 Simplex = tuple[Cell, ...]
@@ -134,33 +135,55 @@ def is_face(variant: Variant, placement) -> bool:
     return len(js) == 2 and variant.cols in js
 
 
-def _chessboard_facets(m, n):
-    if m <= n:
-        for cols in itertools.combinations(range(1, n + 1), m):
-            for rows in itertools.permutations(range(1, m + 1)):
-                yield tuple(sorted(zip(rows, cols)))
+def _arrangement(m: int, length: int, index: int) -> list[int]:
+    """The index-th of ``itertools.permutations(range(1, m + 1), length)``, by Lehmer code."""
+    pool = list(range(1, m + 1))
+    out = []
+    for place in range(length - 1, -1, -1):
+        digit, index = divmod(index, perm(len(pool) - 1, place))
+        out.append(pool.pop(digit))
+    return out
+
+
+def _combination(n: int, size: int, index: int) -> list[int]:
+    """The index-th of ``itertools.combinations(range(1, n + 1), size)``, by rank."""
+    out, c = [], 0
+    while len(out) < size:
+        c += 1
+        below = comb(n - c, size - len(out) - 1)  # subsets whose next element is c
+        if index < below:
+            out.append(c)
+        else:
+            index -= below
+    return out
+
+
+def facet_count(variant: Variant) -> int:
+    """The number of maximal simplices of the variant's complex."""
+    m, n = variant.rows, variant.cols
+    if variant.kind == CHESSBOARD:
+        return perm(max(m, n), min(m, n))
+    return m**n if variant.kind == JOIN_POWER else factorial(m) * m
+
+
+def facet_at(variant: Variant, index: int) -> Simplex:
+    """The index-th maximal simplex, a sorted cell tuple: the order is the
+    lexicographic one of the boxes the tiles take, read tile by tile, but a
+    chessboard with m <= n first orders its m occupied columns likewise."""
+    if not 0 <= index < facet_count(variant):
+        raise IndexError(f"facet index {index} is outside {variant}")
+    m, n = variant.rows, variant.cols
+    cols = range(1, n + 1)
+    if variant.kind == JOIN_POWER:
+        rows = [index // m**place % m + 1 for place in range(n - 1, -1, -1)]
+    elif variant.kind == GORBUSHKA_JOIN:
+        rows = _arrangement(m, m - 1, index // m) + [index % m + 1]
+    elif m > n:
+        rows = _arrangement(m, n, index)
     else:
-        for rows in itertools.permutations(range(1, m + 1), n):
-            yield tuple(sorted(zip(rows, range(1, n + 1))))
-
-
-def _gorbushka_facets(r):
-    for rows in itertools.permutations(range(1, r + 1), r - 1):
-        base = tuple(zip(rows, range(1, r)))
-        for extra in range(1, r + 1):
-            yield tuple(sorted(base + ((extra, r),)))
-
-
-def _join_power_facets(r):
-    for rows in itertools.product(range(1, r + 1), repeat=r):
-        yield tuple(sorted((rows[j - 1], j) for j in range(1, r + 1)))
-
-
-_FACET_GENERATORS = {
-    CHESSBOARD: lambda v: _chessboard_facets(v.rows, v.cols),
-    GORBUSHKA_JOIN: lambda v: _gorbushka_facets(v.rows),
-    JOIN_POWER: lambda v: _join_power_facets(v.rows),
-}
+        cols = _combination(n, m, index // factorial(m))
+        rows = _arrangement(m, m, index % factorial(m))
+    return tuple(sorted(zip(rows, cols)))
 
 
 @dataclass(frozen=True)
@@ -200,12 +223,10 @@ class SimplicialComplex:
 def build_complex(variant: Variant) -> SimplicialComplex:
     """Enumerate the complex for a variant, memoized per process.
 
-    Maximal simplices come from the variant's facet generator (itertools
-    permutations and products over the tiles) and are cached on the
-    returned object; the enumeration order is deterministic and other
-    modules rely on it for reproducible searches.
+    The maximal simplices are :func:`facet_at` of every index, in order.
+    Only topology reads them; sampling and the search reach facets singly.
     """
-    facets = tuple(_FACET_GENERATORS[variant.kind](variant))
+    facets = tuple(facet_at(variant, i) for i in range(facet_count(variant)))
     return SimplicialComplex(variant, variant.cells(), facets)
 
 

@@ -443,8 +443,7 @@ def sample_lengths(rng, n_tiles: int, force_degenerate: bool = False) -> tuple[f
 
 
 def sample_config_point(rng, variant: Variant, force_degenerate: bool = False) -> ConfigPoint:
-    facets = complexes.build_complex(variant).maximal_simplices
-    facet = facets[int(rng.integers(0, len(facets)))]
+    facet = complexes.facet_at(variant, int(rng.integers(0, complexes.facet_count(variant))))
     return _barycentric_point(variant, facet, sample_lengths(rng, len(facet), force_degenerate))
 
 

@@ -10,13 +10,14 @@ the envy-free assignment.
 The search is a simplicial (PL) approximation of the averaged test map
 F(x) = column average - 1/r.  Box-label blindness makes F equivariant,
 F(sigma x) = sigma F(x), so the search scans one facet per box-relabelling
-orbit.  On each it evaluates F on a barycentric grid, solves the linear
-system of every small simplex of the grid's Freudenthal subdivision for the
-zeros of the PL interpolation of F, and refines those zeros by
-simplex-secant steps, doubling the grid when they stall.  Exhausting the
-budget without reaching the tolerance is a distinguished outcome: it may
-mean a genuine obstruction (for player counts where existence fails) or
-just too small a budget, and the solver cannot tell the two apart.
+orbit: a canonical allocation of the tiles, as brute force scans.  On each
+it evaluates F on a barycentric grid, solves the linear system of every
+small simplex of the grid's Freudenthal subdivision for the zeros of the PL
+interpolation of F, and refines those zeros by simplex-secant steps,
+doubling the grid when they stall.  Exhausting the budget without reaching
+the tolerance is a distinguished outcome: it may mean a genuine obstruction
+(for player counts where existence fails) or just too small a budget, and
+the solver cannot tell the two apart.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .complexes import (
     Cell,
     ResourceCapExceeded,
     Variant,
-    build_complex,
 )
 from .configspace import (
     DEGENERACY_TOL,
@@ -82,7 +82,8 @@ RESIDUAL_TOL = 1e-6
 class SearchOptions:
     """Knobs for the search, which is deterministic; ``seed`` only seeds the
     sampled validation in ``solve``.  The grid stops doubling once the next
-    one would take more than ``coarse_budget`` evaluations."""
+    one would take more than ``coarse_budget`` evaluations, and a board whose
+    coarsest grid (k=2) already would is refused before the search starts."""
 
     tolerance: float = RESIDUAL_TOL
     coarse_budget: int = 200_000
@@ -293,10 +294,15 @@ def _barycentric_grid(parts: int, denominator: int):
 
 
 def _coarse_denominator(n_facets: int, parts: int, budget: int, preferred: int) -> int:
-    for k in range(preferred, 2, -1):
+    """The largest k from ``preferred`` down to 2 whose grids on all facets
+    fit in ``budget`` evaluations; raises ResourceCapExceeded when none does."""
+    for k in range(preferred, 1, -1):
         if n_facets * comb(k + parts - 1, parts - 1) <= budget:
             return k
-    return 2
+    raise ResourceCapExceeded(
+        f"the coarsest grid (k=2) needs {n_facets * comb(parts + 1, 2)} evaluations, "
+        f"over the coarse budget of {budget}"
+    )
 
 
 def _kuhn_simplices(parts: int, k: int, chunk: int = 4096):
@@ -353,29 +359,15 @@ def _pl_zeros(points: np.ndarray, values: np.ndarray, simplices: np.ndarray, chu
     return zeros[np.sort(first)]
 
 
-def _is_canonical(boxes) -> bool:
-    """True when the boxes, read in order, first appear as 1, 2, 3, ...
-
-    Such a sequence is the lexicographically least of its box-relabelling
-    orbit, and every orbit holds exactly one.
-    """
-    used = 0
-    for box in boxes:
-        if box > used + 1:
-            return False
-        used = max(used, box)
-    return True
-
-
-def _orbit_representatives(facets) -> list[tuple[Cell, ...]]:
-    """One facet per box-relabelling orbit, cells ordered by tile: the one
-    whose boxes, read tile by tile, are canonical."""
-    reps = []
-    for facet in facets:
-        cells = tuple(sorted(facet, key=lambda cell: cell[1]))
-        if _is_canonical(box for box, _ in cells):
-            reps.append(cells)
-    return reps
+def _orbit_facets(variant: Variant) -> list[tuple[Cell, ...]]:
+    """One facet per box-relabelling orbit, cells in tile order: the canonical
+    allocations of all tiles (c1, c3) or of each min(m, n) tiles (chessboards)."""
+    size = min(variant.rows, variant.cols) if variant.kind == CHESSBOARD else variant.cols
+    return [
+        tuple((box, tile) for tile, box in alloc.items())
+        for tiles in itertools.combinations(range(1, variant.cols + 1), size)
+        for alloc in _canonical_allocations(variant, tiles)
+    ]
 
 
 @dataclass
@@ -448,10 +440,11 @@ def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | N
     none reaches the tolerance, k doubles, facets that held PL zeros first,
     as long as the next grid fits in ``coarse_budget`` evaluations.  Returns
     at the first point within tolerance; otherwise reports the best point
-    seen with ``converged=False``.
+    seen with ``converged=False``.  Raises ResourceCapExceeded, before the
+    oracle is first called, when even the k=2 grid exceeds the budget.
     """
     opts = options or SearchOptions()
-    reps = _orbit_representatives(build_complex(variant).maximal_simplices)
+    reps = _orbit_facets(variant)
     parts = len(reps[0])
     if parts != variant.rows:
         raise ValueError(
@@ -603,8 +596,13 @@ def solve(
     broken lexicographically), which in particular is a valid positive-score
     matching.  When the player count misses the variant's existence
     guarantee this logs a warning and searches anyway; non-existence is
-    never claimed, only budget exhaustion.
+    never claimed, only budget exhaustion.  Over MAX_ASSIGNMENT_PLAYERS
+    players raise ResourceCapExceeded before the oracle is first called.
     """
+    if variant.rows > MAX_ASSIGNMENT_PLAYERS:
+        raise ResourceCapExceeded(
+            f"solve assigns at most {MAX_ASSIGNMENT_PLAYERS} players, got {variant.rows}"
+        )
     opts = options or SearchOptions()
     prefs = _checked_oracle(variant, prefs, ("covering", "equivariance"), opts.seed)
 

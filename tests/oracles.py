@@ -30,6 +30,29 @@ def checked_cut(z) -> Cut:
     return Cut(tuple(points))
 
 
+def listed_facets(variant):
+    """Every facet of the variant's complex, as a sorted cell tuple, in the
+    order of the itertools products, permutations and combinations of the
+    boxes and columns that place one rook per tile (per box on a chessboard
+    with fewer rows than columns)."""
+    m, n = variant.rows, variant.cols
+    boxes = range(1, m + 1)
+    if variant.kind == "join_power":
+        for rows in itertools.product(boxes, repeat=n):
+            yield tuple(sorted(zip(rows, range(1, n + 1))))
+    elif variant.kind == "gorbushka_join":
+        for rows in itertools.permutations(boxes, m - 1):
+            for extra in boxes:
+                yield tuple(sorted(zip(rows + (extra,), range(1, n + 1))))
+    elif m > n:
+        for rows in itertools.permutations(boxes, n):
+            yield tuple(sorted(zip(rows, range(1, n + 1))))
+    else:
+        for cols in itertools.combinations(range(1, n + 1), m):
+            for rows in itertools.permutations(boxes):
+                yield tuple(sorted(zip(rows, cols)))
+
+
 def non_attacking(cells) -> bool:
     rows = [c[0] for c in cells]
     cols = [c[1] for c in cells]

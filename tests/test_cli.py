@@ -232,6 +232,24 @@ def test_overflowing_scores_exit_4(capsys, tmp_path, monkeypatch):
     assert "overflow" in json.loads(out)["message"]
 
 
+def test_solve_over_eight_players_exits_5_before_the_oracle_is_called(capsys, tmp_path, monkeypatch):
+    load = preferences.load_preference_file
+    calls = []
+
+    def counted(*args, **kwargs):
+        prefs = load(*args, **kwargs)
+        raw = prefs.raw
+        prefs.raw = lambda player, point: calls.append(player) or raw(player, point)
+        return prefs
+
+    monkeypatch.setattr(preferences, "load_preference_file", counted)
+    prefs = write_prefs(tmp_path, "random.json", {"r": 9, "kind": "new", "model": "piecewise_random"})
+    code, out = run(capsys, ["solve", "--r", "9", "--space", "c1", "--prefs", prefs])
+    assert code == 5
+    assert json.loads(out)["resource_cap"]
+    assert calls == []
+
+
 def test_validate_command(capsys, tmp_path, hungry_new):
     code, out = run(
         capsys,

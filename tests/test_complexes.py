@@ -11,6 +11,8 @@ from envydiv.complexes import (
     Variant,
     build_complex,
     chessboard,
+    facet_at,
+    facet_count,
     for_space,
     gorbushka_join,
     is_face,
@@ -99,6 +101,20 @@ def test_square_chessboard_has_factorial_facets(n):
     cx = build_complex(chessboard(n, n))
     assert len(cx.vertices) == n * n
     assert len(cx.maximal_simplices) == math.factorial(n)
+
+
+UNRANKED = [for_space(space, r) for space in ("c1", "c3") for r in range(2, 7)]
+UNRANKED += [for_space("c2", r) for r in range(2, 6)]
+UNRANKED += [chessboard(m, n) for m in range(1, 7) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("variant", UNRANKED, ids=lambda v: f"{v.kind}-{v.rows}x{v.cols}")
+def test_facet_at_unranks_the_listed_facets(variant):
+    listed = list(oracles.listed_facets(variant))
+    assert facet_count(variant) == len(listed)
+    assert [facet_at(variant, i) for i in range(len(listed))] == listed
+    with pytest.raises(IndexError):
+        facet_at(variant, len(listed))
 
 
 def test_is_face_examples():

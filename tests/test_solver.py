@@ -1,12 +1,12 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
-from envydiv import solver
+from envydiv import complexes, solver
 from envydiv.complexes import (
     ResourceCapExceeded,
-    build_complex,
     chessboard,
     for_space,
     gorbushka_join,
@@ -51,11 +51,10 @@ from envydiv.solver import (
     _barycentric_grid,
     _canonical_allocations,
     _hypothesis_met,
-    _is_canonical,
     _is_prime_power,
     _kuhn_simplices,
     _grid_cuts,
-    _orbit_representatives,
+    _orbit_facets,
     _pl_zeros,
     _scan_size,
 )
@@ -302,9 +301,12 @@ def test_kuhn_simplices_subdivide_the_simplex():
 )
 def test_orbit_representatives_meet_every_orbit_once(space, r, reps, facets):
     variant = for_space(space, r)
-    all_facets = build_complex(variant).maximal_simplices
-    chosen = _orbit_representatives(all_facets)
+    all_facets = list(oracles.listed_facets(variant))
+    chosen = _orbit_facets(variant)
     assert (len(chosen), len(all_facets)) == (reps, facets)
+    # each is a facet, its cells ordered by tile
+    assert all(tuple(sorted(cells)) in all_facets for cells in chosen)
+    assert all([tile for _, tile in cells] == sorted(tile for _, tile in cells) for cells in chosen)
     rep_sets = [frozenset(cells) for cells in chosen]
     for facet in all_facets:
         images = {
@@ -520,19 +522,21 @@ def test_brute_force_resource_caps():
 def test_canonical_allocations_are_the_filtered_enumeration(space, r):
     variant = for_space(space, r)
     relabellings = list(itertools.permutations(range(1, r + 1)))
+
+    @functools.cache
+    def orbit_least(boxes):
+        return min(tuple(s[b - 1] for b in boxes) for s in relabellings)
+
     for size in range(1, variant.cols + 1):
         for essential in itertools.combinations(range(1, variant.cols + 1), size):
+            # the lexicographically least allocation of each box-relabelling orbit
             expected = [
                 list(alloc.items())
                 for alloc in oracles.all_allocations(variant, essential)
-                if _is_canonical(alloc.values())
+                if tuple(alloc.values()) == orbit_least(tuple(alloc.values()))
             ]
             direct = [list(alloc.items()) for alloc in _canonical_allocations(variant, essential)]
             assert direct == expected, essential
-            # each is the lexicographically least of its box-relabelling orbit
-            for alloc in direct:
-                boxes = tuple(box for _, box in alloc)
-                assert boxes == min(tuple(s[b - 1] for b in boxes) for s in relabellings)
 
 
 BRUTE_EQUIVALENCE = [("c1", r) for r in (2, 3, 4)] + [("c2", r) for r in (2, 3)] + [
@@ -743,6 +747,37 @@ def _counted(prefs):
 
     prefs.raw = counting
     return prefs, calls
+
+
+def test_solve_caps_players_before_the_oracle_is_called():
+    variant = gorbushka_join(9)
+    prefs, calls = _counted(make_builtin("piecewise_random", 9, kind="new", variant=variant))
+    with pytest.raises(ResourceCapExceeded, match="at most 8 players"):
+        solve(variant, prefs)
+    assert calls[0] == 0
+
+
+def test_search_refuses_a_coarsest_grid_over_budget_before_the_oracle_is_called():
+    variant = for_space("c2", 8)
+    prefs, calls = _counted(make_builtin("piecewise_random", 8, kind="new", variant=variant))
+    # 6,435 orbit representatives times the 36 points of the k=2 grid
+    with pytest.raises(ResourceCapExceeded, match="needs 231660 evaluations"):
+        search(variant, prefs)
+    assert calls[0] == 0
+
+
+def test_sampling_and_search_set_up_need_no_facet_list(monkeypatch):
+    def refuse(variant):
+        raise AssertionError(f"the facet list of {variant} was built")
+
+    monkeypatch.setattr(complexes, "build_complex", refuse)
+    variant = for_space("c3", 7)
+    prefs = make_builtin("piecewise_random", 7, kind="new", variant=variant)
+    for prop in ("covering", "equivariance"):
+        assert validate(prefs, prop, sample_count=200).passed
+    # 877 orbit representatives times the 28 points of the k=2 grid
+    with pytest.raises(ResourceCapExceeded, match="needs 24556 evaluations"):
+        search(variant, prefs, SearchOptions(coarse_budget=24_555))
 
 
 def test_solve_and_brute_force_make_a_fixed_number_of_oracle_calls():

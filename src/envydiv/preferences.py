@@ -36,6 +36,12 @@ statistical (seeded sampling) and can only falsify a property, never prove
 it; in particular closedness of preferred sets has no finite certificate
 for a black-box oracle, so the ``continuity`` check is a documented
 heuristic stand-in.
+
+Covering is per player: a sample violates it when any one player accepts
+no box there, because every player's preferred sets must cover the space.
+``solver.solve`` checks covering and equivariance in one pass, the
+``covering+equivariance`` property: covering is read off every player's
+scores at each equivariance sample, before its relabelling.
 """
 
 from __future__ import annotations
@@ -78,7 +84,16 @@ RANDOM_AMPLITUDE = 0.25
 
 BUILTIN_MODELS = ("hungry", "gorbushka", "burnt", "piecewise_random")
 
-VALIDATION_PROPERTIES = ("covering", "equivariance", "p_dte", "p_pe", "continuity")
+#: ``covering+equivariance`` checks both axioms on one stream of samples,
+#: the one ``equivariance`` draws; it is what ``solver.solve`` runs first
+VALIDATION_PROPERTIES = (
+    "covering",
+    "equivariance",
+    "covering+equivariance",
+    "p_dte",
+    "p_pe",
+    "continuity",
+)
 
 
 class PreferenceValidationError(ValueError):
@@ -122,21 +137,33 @@ def _normalized(raw) -> list[float]:
 
     A negative score raises, and so does a NaN or infinite one, which would
     otherwise pass every ``> PREFERENCE_TOL`` test as a score nobody wants,
-    and so do finite scores whose sum overflows.
+    and so do finite scores whose sum overflows.  A finite sum rules out
+    NaN and infinite scores, so a row with a finite sum and no negative
+    score is normalized at once; only other rows go through the checks.
     """
-    row = [float(v) for v in raw]
+    row = list(map(float, raw))
+    try:
+        total = math.fsum(row)
+    except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
+        total = math.nan
+    if not (math.isfinite(total) and min(row, default=0.0) >= 0.0):
+        _reject(row)
+    if total <= 0.0:
+        return [0.0] * len(row)
+    return [v / total for v in row]
+
+
+def _reject(row: list[float]):
+    """Raise the error of the first check that ``row`` fails: a negative
+    score, then a sum that overflows, then a non-finite score."""
     # not ``min(row) < 0``: a NaN hides a negative that follows it
     if any(v < 0 for v in row):
         raise ValueError(f"oracle produced a negative score: {row}")
     try:
-        total = math.fsum(row)
+        math.fsum(row)
     except OverflowError:
         raise ValueError(f"oracle scores overflow in their sum: {row}") from None
-    if not math.isfinite(total):
-        raise ValueError(f"oracle produced a non-finite score: {row}")
-    if total <= 0.0:
-        return [0.0] * len(row)
-    return [v / total for v in row]
+    raise ValueError(f"oracle produced a non-finite score: {row}")
 
 
 def score_matrix(prefs: PreferenceMatrix, point) -> np.ndarray:
@@ -432,8 +459,20 @@ class ValidationReport:
         }
 
 
+def _uniform_simplex(rng, n: int) -> np.ndarray:
+    """``rng.dirichlet(np.ones(n))`` bit for bit, for less: the same standard
+    exponential draws, times the reciprocal of their sum accumulated left to
+    right, which is numpy's own loop for alpha = 1."""
+    z = rng.standard_exponential(n)
+    total = 0.0  # not ``sum``, which compensates its rounding from Python 3.12
+    for v in z.tolist():
+        total += v
+    z *= 1.0 / total
+    return z
+
+
 def sample_lengths(rng, n_tiles: int, force_degenerate: bool = False) -> tuple[float, ...]:
-    z = rng.dirichlet(np.ones(n_tiles))
+    z = _uniform_simplex(rng, n_tiles)
     if force_degenerate and n_tiles >= 2:
         k = int(rng.integers(1, n_tiles))
         idx = rng.choice(n_tiles, size=k, replace=False)
@@ -465,14 +504,19 @@ def validate(
     """Falsification-only check of one preference axiom on seeded samples.
 
     ``covering`` and ``continuity`` apply to both kinds, ``equivariance``
-    to new-style oracles only, ``p_dte`` and ``p_pe`` to old-style only.
+    and ``covering+equivariance`` to new-style oracles only, ``p_dte`` and
+    ``p_pe`` to old-style only.  ``covering+equivariance`` draws the
+    samples of ``equivariance`` and reads covering off the scores at each
+    unpermuted point; each of its violations names its ``axiom``.
     """
     if property not in VALIDATION_PROPERTIES:
         raise ValueError(f"unknown property {property!r}")
-    if property == "equivariance" and prefs.kind != NEW:
-        raise ValueError("equivariance applies to new-style oracles only")
+    if "equivariance" in property and prefs.kind != NEW:
+        raise ValueError(f"{property} applies to new-style oracles only")
     if property in ("p_dte", "p_pe") and prefs.kind != OLD:
         raise ValueError(f"{property} applies to old-style oracles only")
+    if sample_count < 1:
+        raise ValueError(f"need at least one sample, got {sample_count}")
 
     rng = np.random.default_rng(seed)
     violations = []
@@ -483,22 +527,29 @@ def validate(
         if property == "covering":
             point = _sample_domain(rng, prefs, force_deg)
             domain = _domain(prefs, point)
-            # player by player, stopping at the first who accepts a box
+            # player by player, stopping at the first who accepts no box
             accepting = (
                 max(_normalized(prefs.raw(j, domain)), default=0.0) > PREFERENCE_TOL
                 for j in range(1, prefs.r + 1)
             )
-            if not any(accepting):
+            if not all(accepting):
                 violations.append(_witness(point))
-        elif property == "equivariance":
+        elif "equivariance" in property:
             point = _sample_domain(rng, prefs, force_deg)
             sigma = tuple(int(v) + 1 for v in rng.permutation(prefs.r))
             before = score_matrix(prefs, point)
+            tag = {"axiom": "equivariance"} if property != "equivariance" else {}
+            if tag:
+                refusing = np.flatnonzero(before.max(axis=1) <= PREFERENCE_TOL)
+                if refusing.size:
+                    violations.append(
+                        {"axiom": "covering", "point": _witness(point), "player": int(refusing[0]) + 1}
+                    )
             after = score_matrix(prefs, act(sigma, point))
             dev = float(np.abs(after[:, np.array(sigma) - 1] - before).max())
             max_dev = max(max_dev, dev)
             if dev > tol:
-                violations.append({"point": _witness(point), "sigma": list(sigma), "deviation": dev})
+                violations.append({**tag, "point": _witness(point), "sigma": list(sigma), "deviation": dev})
         elif property == "p_dte":
             z = sample_lengths(rng, prefs.r, force_degenerate=True)
             deg = [i + 1 for i, v in enumerate(z) if v <= DEGENERACY_TOL]

@@ -12,10 +12,14 @@ one-tile-per-box space (c2): the doubled cut is first reduced back to r
 tiles by deleting superfluous cut-points, each box is scored by its tile's
 score in the reduced cut, and empty boxes split the degenerate score.  The
 reduction is computed along two different deletion orders, once per cut
-for all r players; every query compares the two, and any disagreement is
-reported as a partition-equivalence violation of the source.  The memo of
-the last cut's reductions is one module-level entry (``_reductions``), not
-a cache per lifted oracle, so an oracle kept after its solve keeps no cut.
+for all r players.  Where the two orders give different reduced cuts, a
+query scores both and reports any disagreement as a partition-equivalence
+violation of the source.  Where they give the same reduced cut, a query
+scores it once: a pure source (as ``preferences`` requires) cannot
+disagree with itself there, and an impure one is not caught there.  The
+memo of the last cut's reductions is one module-level entry
+(``_reductions``), not a cache per lifted oracle, so an oracle kept after
+its solve keeps no cut.
 
 Where checks run: each lift validates its source on seeded samples once,
 when it is built.  Queries of a lifted oracle check only the tile count of
@@ -46,6 +50,7 @@ from .preferences import (
     PreferenceMatrix,
     PreferenceValidationError,
     _normalized,
+    _uniform_simplex,
     score_matrix,
     validate,
 )
@@ -205,7 +210,7 @@ def _check_short_last_tile(old_prefs, epsilon):
     lows = max(10 * DEGENERACY_TOL, epsilon * 1e-3)
     for i in range(PSI_CHECK_SAMPLES):
         t = float(lows + (epsilon - lows) * (i + 0.5) / PSI_CHECK_SAMPLES)
-        rest = rng.dirichlet(np.ones(r - 1)) * (1.0 - t)
+        rest = _uniform_simplex(rng, r - 1) * (1.0 - t)
         z = tuple(float(v) for v in rest) + (t,)
         if (score_matrix(old_prefs, z)[:, r - 1] > PREFERENCE_TOL).any():
             raise PreferenceValidationError(
@@ -214,22 +219,25 @@ def _check_short_last_tile(old_prefs, epsilon):
 
 
 @lru_cache(maxsize=1)  # the r players query one point in turn
-def _reductions(cut: Cut, keep: str, other: str) -> dict:
-    """Per deletion order: the reduced lengths, the (full, reduced) labels of
-    the k-th essential tile, k = 1, 2, ..., and the first degenerate reduced label.
+def _reductions(cut: Cut, keep: str, other: str) -> tuple:
+    """The reduction along ``keep``, and the one along ``other`` where it
+    differs (None where it is the same).  A reduction is the reduced
+    lengths, the (full, reduced) labels of the k-th essential tile, k = 1,
+    2, ..., and the first degenerate reduced label.
 
     One entry for every phi lift, so the lifted oracles, which the caller
     may keep, hold no cut; lifts that share the cut and deletion orders share
     the entry.
     """
     _, ess_full = degenerate_and_essential(cut)
-    found = {}
+    found = []
     for which in (keep, other):
         reduced = eliminate_superfluous(cut, keep=which)
         deg_reduced, ess_reduced = degenerate_and_essential(reduced)
         labels = [(full, ess_reduced[k][1]) for k, (_, full) in enumerate(ess_full)]
-        found[which] = (reduced.lengths, labels, min(deg_reduced, default=None))
-    return found
+        found.append((reduced.lengths, labels, min(deg_reduced, default=None)))
+    primary, mirror = found
+    return primary, (None if mirror == primary else mirror)
 
 
 def phi(
@@ -240,14 +248,17 @@ def phi(
     """Lift a partition-equivalence oracle to boxes on the c2 space.
 
     The doubled cut is reduced with the requested deletion order and with
-    the mirrored one, once per cut for all players; box scores that
-    disagree beyond ``PREFERENCE_TOL`` mean the source is not
-    partition-equivalent and raise an error.
+    the mirrored one, once per cut for all players; where the two
+    reductions differ, box scores that disagree beyond ``PREFERENCE_TOL``
+    mean the source is not partition-equivalent and raise an error.
+
+    ``check_samples`` seeded samples check the source's covering and p_pe
+    first; a breach raises, and ``check_samples=0`` skips the checks.
     """
     if old_prefs.kind != OLD:
         raise ValueError("phi expects an old-style oracle")
     r = old_prefs.r
-    for prop in ("covering", "p_pe"):
+    for prop in ("covering", "p_pe") if check_samples else ():
         report = validate(old_prefs, prop, sample_count=check_samples)
         if not report.passed:
             raise PreferenceValidationError(
@@ -278,9 +289,11 @@ def phi(
     def raw(player, point: ConfigPoint):
         if point.cut.tile_count != 2 * r - 1:
             raise ValueError(f"expected a point with {2 * r - 1} tiles")
-        reduction = _reductions(point.cut, keep, other)
-        primary = box_scores(player, point, reduction[keep])
-        mirror = box_scores(player, point, reduction[other])
+        reduction, mirror_reduction = _reductions(point.cut, keep, other)
+        primary = box_scores(player, point, reduction)
+        if mirror_reduction is None:  # a pure source scores it the same
+            return primary
+        mirror = box_scores(player, point, mirror_reduction)
         drift = max(abs(a - b) for a, b in zip(primary, mirror))
         if drift > PREFERENCE_TOL:
             raise PreferenceValidationError(

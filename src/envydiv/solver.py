@@ -560,11 +560,10 @@ def _hypothesis_met(variant: Variant) -> bool:
     return _is_prime_power(r)
 
 
-def _checked_oracle(
-    variant: Variant, prefs: PreferenceMatrix, properties: tuple[str, ...], seed: int
-) -> PreferenceMatrix:
-    """The oracle bound to ``variant``, after ``properties`` passed 200
-    samples each of ``validate`` seeded with ``seed``.
+def _checked_oracle(variant: Variant, prefs: PreferenceMatrix, prop: str, seed: int) -> PreferenceMatrix:
+    """The oracle bound to ``variant``, after ``prop`` passed 200 samples of
+    ``validate`` seeded with ``seed``.  A failure names the first axiom of
+    ``prop`` that has violations, with their count.
 
     An unbound oracle is bound on a copy, and one bound to another board is
     rejected; either way the caller's oracle is left as it was.
@@ -575,12 +574,12 @@ def _checked_oracle(
         prefs = dataclasses.replace(prefs, variant=variant)
     elif prefs.variant != variant:
         raise ValueError(f"oracle is bound to {prefs.variant}, not to {variant}")
-    for prop in properties:
-        report = validate(prefs, prop, sample_count=200, seed=seed)
-        if not report.passed:
+    report = validate(prefs, prop, sample_count=200, seed=seed)
+    for axiom in prop.split("+"):
+        count = sum(v.get("axiom", axiom) == axiom for v in report.violations)
+        if count:
             raise PreferenceValidationError(
-                f"preferences fail {prop}: {len(report.violations)} violations in "
-                f"{report.samples} samples"
+                f"preferences fail {axiom}: {count} violations in {report.samples} samples"
             )
     return prefs
 
@@ -604,7 +603,7 @@ def solve(
             f"solve assigns at most {MAX_ASSIGNMENT_PLAYERS} players, got {variant.rows}"
         )
     opts = options or SearchOptions()
-    prefs = _checked_oracle(variant, prefs, ("covering", "equivariance"), opts.seed)
+    prefs = _checked_oracle(variant, prefs, "covering+equivariance", opts.seed)
 
     if not _hypothesis_met(variant):
         logger.warning(
@@ -757,7 +756,7 @@ def brute_force(
         raise ResourceCapExceeded(
             f"brute force would score {points} points, over the work cap of {work_cap}"
         )
-    prefs = _checked_oracle(variant, prefs, ("equivariance",), seed)
+    prefs = _checked_oracle(variant, prefs, "equivariance", seed)
 
     best_value = -1.0
     best_point = None

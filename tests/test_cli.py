@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from envydiv import preferences
+from envydiv import preferences, solver
 from envydiv.cli import main
 from envydiv.preferences import row_shuffled
 
@@ -247,6 +247,59 @@ def test_solve_over_eight_players_exits_5_before_the_oracle_is_called(capsys, tm
     code, out = run(capsys, ["solve", "--r", "9", "--space", "c1", "--prefs", prefs])
     assert code == 5
     assert json.loads(out)["resource_cap"]
+    assert calls == []
+
+
+def _one_player_refuses(monkeypatch, calls):
+    # no preference file describes it: player 2 of the loaded oracle
+    # scores every box zero
+    load = preferences.load_preference_file
+
+    def refusing(*args, **kwargs):
+        prefs = load(*args, **kwargs)
+        raw = prefs.raw
+        prefs.raw = lambda player, point: calls.append(player) or (
+            [0.0] * prefs.r if player == 2 else raw(player, point)
+        )
+        return prefs
+
+    monkeypatch.setattr(preferences, "load_preference_file", refusing)
+
+
+def test_one_player_accepting_nothing_fails_covering_with_exit_3(capsys, tmp_path, monkeypatch):
+    calls = []
+    _one_player_refuses(monkeypatch, calls)
+    searched = []
+    search = solver.search
+    monkeypatch.setattr(solver, "search", lambda *args: searched.append(args) or search(*args))
+    prefs = write_prefs(tmp_path, "random.json", {"r": 3, "kind": "new", "model": "piecewise_random"})
+    code, out = run(capsys, ["validate", "--space", "c1", "--property", "covering", "--samples", "200", "--prefs", prefs])
+    assert code == 3
+    assert json.loads(out)["violation_count"] == 200
+    code, out = run(capsys, ["solve", "--r", "3", "--space", "c1", "--prefs", prefs])
+    assert code == 3
+    assert json.loads(out) == {
+        "validation_failed": True,
+        "message": "preferences fail covering: 200 violations in 200 samples",
+    }
+    assert searched == []
+    # the check solve runs is the one validate runs
+    code, out = run(
+        capsys,
+        ["validate", "--space", "c1", "--property", "covering+equivariance", "--samples", "200", "--prefs", prefs],
+    )
+    assert code == 3
+    assert json.loads(out)["violation_count"] == 200
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_validate_without_samples_exits_4(capsys, tmp_path, monkeypatch, count):
+    calls = []
+    _one_player_refuses(monkeypatch, calls)
+    prefs = write_prefs(tmp_path, "random.json", {"r": 3, "kind": "new", "model": "piecewise_random"})
+    code, out = run(capsys, ["validate", "--space", "c1", "--property", "covering", "--samples", count, "--prefs", prefs])
+    assert code == 4
+    assert json.loads(out) == {"input_error": True, "message": f"need at least one sample, got {count}"}
     assert calls == []
 
 

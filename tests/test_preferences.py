@@ -13,8 +13,10 @@ from envydiv.preferences import (
     PREFERENCE_TOL,
     RANDOM_FLOOR,
     PreferenceMatrix,
+    _normalized,
     _PiecewiseTable,
     _random_tables,
+    _uniform_simplex,
     load_preference_file,
     make_builtin,
     piecewise_from_tables,
@@ -22,6 +24,7 @@ from envydiv.preferences import (
     sample_config_point,
     sample_lengths,
     score_matrix,
+    VALIDATION_PROPERTIES,
     scores,
     validate,
 )
@@ -186,11 +189,73 @@ def test_finite_scores_overflowing_their_sum_raise():
         validate(huge, "covering", 5)
 
 
+def _one_player_refuses(r=3, refusing=2):
+    """A c1 ``piecewise_random`` oracle whose player ``refusing`` scores
+    every box zero, everywhere; every other player accepts a box."""
+    prefs = make_builtin("piecewise_random", r, kind=NEW, variant=for_space("c1", r))
+    raw = prefs.raw
+    prefs.raw = lambda player, point: [0.0] * r if player == refusing else raw(player, point)
+    return prefs
+
+
+def test_covering_is_per_player():
+    # one player who accepts nothing breaks covering, although the others
+    # accept a box at every point
+    prefs = _one_player_refuses()
+    report = validate(prefs, "covering", 200, seed=0)
+    assert len(report.violations) == 200
+    both = validate(prefs, "covering+equivariance", 200, seed=0)
+    assert [v["player"] for v in both.violations] == [2] * 200
+    assert {v["axiom"] for v in both.violations} == {"covering"}
+
+
+def test_covering_and_equivariance_in_one_pass_match_the_two_checks():
+    # one stream of samples: the equivariance witnesses are those of the
+    # equivariance check, and the covering ones are its points where some
+    # player accepts no box
+    variant = for_space("c2", 3)
+    cases = [
+        make_builtin("gorbushka", 3, kind=NEW, variant=variant),
+        make_builtin("gorbushka", 3, kind=NEW, variant=variant, params={"dte": False}),
+        row_shuffled(make_builtin("piecewise_random", 3, kind=NEW, variant=variant, seed=4)),
+        make_builtin("piecewise_random", 3, kind=NEW, variant=variant, seed=4),
+    ]
+    for prefs in cases:
+        both = validate(prefs, "covering+equivariance", 200, seed=3)
+        equivariance = validate(prefs, "equivariance", 200, seed=3)
+        covering = [v for v in both.violations if v.pop("axiom") == "covering"]
+        assert [v for v in both.violations if "sigma" in v] == equivariance.violations
+        assert both.max_deviation == equivariance.max_deviation
+        rng = np.random.default_rng(3)
+        refused = []
+        for i in range(200):
+            point = sample_config_point(rng, variant, force_degenerate=i % 2 == 1)
+            rng.permutation(3)
+            players = np.flatnonzero(score_matrix(prefs, point).max(axis=1) <= PREFERENCE_TOL)
+            if players.size:
+                refused.append({"point": point.to_json(), "player": int(players[0]) + 1})
+        assert covering == refused
+    verdicts = [validate(prefs, "covering+equivariance", 200, seed=3).passed for prefs in cases]
+    assert verdicts == [False, False, False, True]
+
+
+@pytest.mark.parametrize("prop", VALIDATION_PROPERTIES)
+@pytest.mark.parametrize("count", [0, -5])
+def test_validation_needs_a_sample(prop, count):
+    kind = OLD if prop.startswith("p_") else NEW
+    prefs, calls = _counted(make_builtin("hungry", 3, kind=kind, variant=gorbushka_join(3)))
+    with pytest.raises(ValueError, match="at least one sample"):
+        validate(prefs, prop, count)
+    assert calls[0] == 0
+
+
 def test_validate_kind_checks():
     old = make_builtin("hungry", 3)
     new = make_builtin("hungry", 3, kind=NEW, variant=gorbushka_join(3))
     with pytest.raises(ValueError):
         validate(old, "equivariance")
+    with pytest.raises(ValueError):
+        validate(old, "covering+equivariance")
     with pytest.raises(ValueError):
         validate(new, "p_dte")
     with pytest.raises(ValueError):
@@ -307,12 +372,16 @@ def _counted(prefs):
 @pytest.mark.parametrize(
     "model, params, space, prop, expected",
     [
-        # covering stops at the first player who accepts a box: 1 call per
-        # sample, and all 3 at each of the 61 samples where nobody does
-        ("piecewise_random", None, "c1", "covering", 200),
-        ("gorbushka", {"dte": False}, "c2", "covering", 322),
+        # covering stops at the first player who accepts no box: all 3 calls
+        # at a sample where everyone accepts one, so 3 x 200 here; the
+        # gorbushka players are alike, so player 1 alone is asked at each of
+        # the 61 samples where nobody accepts one: 3 x 139 + 61
+        ("piecewise_random", None, "c1", "covering", 600),
+        ("gorbushka", {"dte": False}, "c2", "covering", 478),
         # equivariance scores every player at the point and at its relabelling
         ("piecewise_random", None, "c1", "equivariance", 1200),
+        # and covering+equivariance reads covering off the first of the two
+        ("piecewise_random", None, "c1", "covering+equivariance", 1200),
     ],
 )
 def test_validation_makes_a_fixed_number_of_oracle_calls(model, params, space, prop, expected):
@@ -373,3 +442,86 @@ def test_piecewise_random_new_matches_the_box_map_formula(space):
             ]
             assert prefs.raw(player, point) == want
 
+
+
+def _dirichlet_sample_lengths(rng, n, force_degenerate):
+    """``sample_lengths`` as first written, on ``rng.dirichlet``."""
+    z = rng.dirichlet(np.ones(n))
+    if force_degenerate and n >= 2:
+        k = int(rng.integers(1, n))
+        z[rng.choice(n, size=k, replace=False)] = 0.0
+        z /= z.sum()
+    return tuple(z.tolist())
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_exponential_draws_are_the_dirichlet_draws(n):
+    # bit for bit, and the generators stay in step; a numpy whose Dirichlet
+    # loop differs fails here
+    for seed in range(40):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for i in range(20):
+            assert _uniform_simplex(ours, n).tobytes() == theirs.dirichlet(np.ones(n)).tobytes()
+            force = i % 2 == 1
+            assert sample_lengths(ours, n, force) == _dirichlet_sample_lengths(theirs, n, force)
+        assert ours.random() == theirs.random()
+
+
+def _normalized_reference(raw):
+    """``_normalized`` as it was before its fast path."""
+    row = [float(v) for v in raw]
+    if any(v < 0 for v in row):
+        raise ValueError(f"oracle produced a negative score: {row}")
+    try:
+        total = math.fsum(row)
+    except OverflowError:
+        raise ValueError(f"oracle scores overflow in their sum: {row}") from None
+    if not math.isfinite(total):
+        raise ValueError(f"oracle produced a non-finite score: {row}")
+    if total <= 0.0:
+        return [0.0] * len(row)
+    return [v / total for v in row]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([NAN, -1], "oracle produced a negative score: [nan, -1.0]"),
+        ([-1, NAN], "oracle produced a negative score: [-1.0, nan]"),
+        ([INF, -INF], "oracle produced a negative score: [inf, -inf]"),
+        ([1e308, 1e308], "oracle scores overflow in their sum: [1e+308, 1e+308]"),
+        ([INF], "oracle produced a non-finite score: [inf]"),
+        ([INF, NAN], "oracle produced a non-finite score: [inf, nan]"),
+    ],
+)
+def test_normalized_keeps_its_messages_on_edge_rows(row, message):
+    with pytest.raises(ValueError) as raised:
+        _normalized(row)
+    assert str(raised.value) == message
+
+
+def test_normalized_keeps_zero_and_empty_rows():
+    assert _normalized([0.0, 0, -0.0]) == [0.0, 0.0, 0.0]
+    assert _normalized([]) == []
+    assert _normalized((v for v in [1, 3])) == [0.25, 0.75]
+
+
+def test_normalized_matches_the_reference_on_random_rows():
+    rng = np.random.default_rng(7)
+    specials = [NAN, INF, -INF, -1.0, -0.0, 0.0, 1e308, 1e-320, 5e-324]
+    for _ in range(3000):
+        row = rng.uniform(0.0, 2.0, size=int(rng.integers(0, 6))).tolist()
+        for _ in range(int(rng.integers(0, 3))):
+            if row:
+                row[int(rng.integers(0, len(row)))] = specials[int(rng.integers(0, len(specials)))]
+        try:
+            want = _normalized_reference(row)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                _normalized(row)
+            assert str(raised.value) == str(exc)
+        else:
+            assert _normalized(row) == want

@@ -375,6 +375,27 @@ def test_row_shuffled_oracle_is_rejected_before_the_search(monkeypatch):
         solve(variant, broken)
 
 
+def test_solve_names_the_axiom_that_failed(monkeypatch):
+    monkeypatch.setattr(solver, "search", lambda *args: pytest.fail("search ran on a refused oracle"))
+    variant = gorbushka_join(3)
+    shuffled = row_shuffled(make_builtin("piecewise_random", 3, kind="new", variant=variant, seed=3))
+    count = len(validate(shuffled, "equivariance", 200, seed=0).violations)
+    with pytest.raises(PreferenceValidationError, match=f"fail equivariance: {count} violations in 200"):
+        solve(variant, shuffled)
+    # a player who accepts nothing is a covering failure (exit 3), not the
+    # search's "accepts no box" (exit 4); covering is named first
+    raw = shuffled.raw
+    shuffled.raw = lambda player, point: [0.0] * 3 if player == 2 else raw(player, point)
+    with pytest.raises(PreferenceValidationError, match="fail covering: 200 violations in 200"):
+        solve(variant, shuffled)
+    # brute force checks equivariance alone: it certifies non-covering
+    # oracles infeasible
+    plain = make_builtin("gorbushka", 3, kind="new", variant=variant, params={"dte": False})
+    with pytest.raises(PreferenceValidationError, match="fail covering"):
+        solve(variant, plain)
+    assert not brute_force(variant, plain, 7).feasible
+
+
 def test_solve_hungry_matches_equal_split():
     variant = gorbushka_join(3)
     prefs = make_builtin("hungry", 3, kind="new", variant=variant)
@@ -784,11 +805,22 @@ def test_solve_and_brute_force_make_a_fixed_number_of_oracle_calls():
     variant = gorbushka_join(3)
     prefs, calls = _counted(make_builtin("piecewise_random", 3, kind="new", variant=variant, seed=0))
     solve(variant, prefs)
-    assert calls[0] == 1691
+    # 1,200 calls validate covering and equivariance in one pass (200
+    # samples, 3 players, at the point and at its relabelling), 291 search,
+    # average and verify
+    assert calls[0] == 1200 + 291
     calls[0] = 0
     # 1,200 calls validate equivariance, then 3 score each of the 101 points
     assert brute_force(variant, prefs, 9).evaluated == 101
     assert calls[0] == 1200 + 3 * 101
     source, calls = _counted(make_builtin("hungry", 3))
-    solve(for_space("c2", 3), phi(source))
-    assert calls[0] == 3748
+    lifted = phi(source)
+    # the lift checks its source on 120 samples: covering, 3 players each,
+    # and p_pe, 3 players at two points each
+    assert calls[0] == 120 * 3 + 120 * 6
+    calls[0] = 0
+    # each of the 1,254 queries of the lift's solve (1,200 validating, 54 in
+    # the search) calls the source once, and again at the 99 queries whose
+    # cut reduces differently along the two deletion orders
+    solve(for_space("c2", 3), lifted)
+    assert calls[0] == 1254 + 99

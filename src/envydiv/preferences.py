@@ -84,16 +84,8 @@ RANDOM_AMPLITUDE = 0.25
 
 BUILTIN_MODELS = ("hungry", "gorbushka", "burnt", "piecewise_random")
 
-#: ``covering+equivariance`` checks both axioms on one stream of samples,
-#: the one ``equivariance`` draws; it is what ``solver.solve`` runs first
-VALIDATION_PROPERTIES = (
-    "covering",
-    "equivariance",
-    "covering+equivariance",
-    "p_dte",
-    "p_pe",
-    "continuity",
-)
+#: ``covering+equivariance`` checks both on the samples of ``equivariance``
+VALIDATION_PROPERTIES = ("covering", "equivariance", "covering+equivariance", "p_dte", "p_pe", "continuity")
 
 
 class PreferenceValidationError(ValueError):
@@ -538,7 +530,8 @@ def validate(
             point = _sample_domain(rng, prefs, force_deg)
             sigma = tuple(int(v) + 1 for v in rng.permutation(prefs.r))
             before = score_matrix(prefs, point)
-            tag = {"axiom": "equivariance"} if property != "equivariance" else {}
+            # the two-axiom property tags each violation with its axiom
+            tag = {} if property == "equivariance" else {"axiom": "equivariance"}
             if tag:
                 refusing = np.flatnonzero(before.max(axis=1) <= PREFERENCE_TOL)
                 if refusing.size:

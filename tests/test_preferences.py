@@ -12,6 +12,7 @@ from envydiv.preferences import (
     OLD,
     PREFERENCE_TOL,
     RANDOM_FLOOR,
+    VALIDATION_PROPERTIES,
     PreferenceMatrix,
     _normalized,
     _PiecewiseTable,
@@ -24,7 +25,6 @@ from envydiv.preferences import (
     sample_config_point,
     sample_lengths,
     score_matrix,
-    VALIDATION_PROPERTIES,
     scores,
     validate,
 )

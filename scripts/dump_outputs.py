@@ -15,8 +15,11 @@ r=2..6, and of dense mixes nudged off the Birkhoff polytope within the
 residual tolerance, ``eliminate_superfluous`` of seeded doubled cuts in both deletion
 orders, ``z_to_cut`` of the same tile lengths, and the first 20
 ``sample_config_point`` points, degenerate tiles forced on odd draws, of
-c1 r=5,6, c2 r=4,5, c3 r=5,6 and chessboards 4x3 and 5x2.  A run that raises
-prints the exception instead.  Run it on two source trees and diff the
+c1 r=5,6, c2 r=4,5, c3 r=5,6 and chessboards 4x3 and 5x2.  Last come the
+results of ``search`` alone (point, residual, convergence, last grid and PL
+zeros per grid, not the evaluation count) on the boards of the benchmark's
+native solves and on c2 r=5 and c3 r=5 ``piecewise_random`` seed 0.  A run
+that raises prints the exception instead.  Run it on two source trees and diff the
 outputs:
 
     PYTHONPATH=src python scripts/dump_outputs.py > after.txt
@@ -45,6 +48,16 @@ SAMPLED = [
 ]
 SPACES = [("c1", r) for r in (2, 3, 4)] + [("c2", r) for r in (2, 3)] + [("c3", r) for r in (2, 3, 4)]
 BRUTE_GRID = 7
+#: (model, space, r, oracle seed, params) of the ``search`` lines
+SEARCHED = [
+    *(("piecewise_random", space, r, seed, None) for space, r, seed in (
+        ("c1", 2, 1), ("c1", 3, 1), ("c1", 4, 1), ("c1", 4, 0), ("c2", 2, 1), ("c2", 3, 1),
+        ("c3", 3, 1), ("c3", 4, 1), ("c2", 5, 0), ("c3", 5, 0),
+    )),
+    *(("hungry", "c1", r, 0, None) for r in (2, 3, 4, 5)),
+    ("gorbushka", "c1", 3, 0, {"dte": True}),
+    ("burnt", "c3", 3, 0, None),
+]
 VALIDATED = ("covering", "equivariance", "continuity")
 VALIDATED_OLD = ("covering", "p_dte", "p_pe")
 LIFT_EPSILON = 0.02
@@ -144,6 +157,24 @@ def _dump_samples() -> None:
             print(f"sample {board} i={i} {point}")
 
 
+def _dump_searches() -> None:
+    for model, space, r, seed, params in SEARCHED:
+        variant = complexes.for_space(space, r)
+        prefs = preferences.make_builtin(model, r, kind="new", params=params, seed=seed, variant=variant)
+
+        def run():
+            result = solver.search(variant, prefs)
+            return {
+                "point": result.point.to_json(),
+                "residual": result.residual,
+                "converged": result.converged,
+                "denominator": result.denominator,
+                "pl_zeros": result.pl_zeros,
+            }
+
+        print(f"search {space} r={r} {model} seed={seed} {_value(run)}")
+
+
 def _psi_source(r, seed):
     """Tables that score nothing up to LIFT_EPSILON, as psi requires."""
     rng = np.random.default_rng(seed)
@@ -212,6 +243,7 @@ def main() -> None:
             phi_source = lambda: _phi_source(r, seed)  # noqa: E731
             print(f"solve psi(tables) c1 r={r} seed={seed} {_lifted_solve(psi, 'c1', r, psi_source)}")
             print(f"solve phi(tables) c2 r={r} seed={seed} {_lifted_solve(reductions.phi, 'c2', r, phi_source)}")
+    _dump_searches()
 
 
 if __name__ == "__main__":

@@ -91,13 +91,14 @@ def z_to_cut(z: ZPoint) -> Cut:
 
 def degenerate_and_essential(cut: Cut) -> tuple[frozenset[int], tuple[tuple[Interval, int], ...]]:
     """Split tile labels into degenerate ones and essential (interval, label) pairs."""
+    bounds = (0.0,) + cut.points + (1.0,)
     deg = []
     ess = []
     for label, length in enumerate(cut.lengths, start=1):
         if length <= DEGENERACY_TOL:
             deg.append(label)
         else:
-            ess.append((cut.tile(label), label))
+            ess.append(((bounds[label - 1], bounds[label]), label))
     return frozenset(deg), tuple(ess)
 
 
@@ -197,6 +198,14 @@ def _face_point(variant: Variant, cut: Cut, allocation: tuple[tuple[int, int], .
     point = object.__new__(ConfigPoint)
     vars(point).update(variant=variant, cut=cut, allocation=allocation)
     return point
+
+
+def _known_points(points: tuple[float, ...]) -> Cut:
+    """``Cut`` without its checks, for float cut-points already known to be
+    non-decreasing and in [0, 1], such as a subsequence of a cut's points."""
+    cut = object.__new__(Cut)
+    vars(cut)["points"] = points
+    return cut
 
 
 def _known_cut(z: Sequence[float]) -> Cut:

@@ -17,17 +17,19 @@ Built-in models:
 * ``piecewise_random`` -- seeded piecewise-linear scores with a positive
   floor, covering and box-label-blind by construction.
 
-``score_matrix`` is the one evaluation primitive: one check of the point,
-then every player's normalized scores, stacked; ``scores`` is its one-row
-case.  Search, brute force, verification and the equivariance,
-continuity and p_dte checks evaluate through it.  Loops that test one
-player at a time and stop early (covering, and the sources of the
-``reductions`` lifts) check the point once and normalize each player's
-plain list with the same ``_normalized``, which rejects negative, NaN and
-infinite scores wherever a row is normalized.  Points are checked where
-they enter from outside, in the public constructors of ``configspace``;
-the hot loops build points and cuts on faces they already know without
-the checks.
+Every score row is read through ``_row``: the player's ``raw`` scores,
+normalized by ``_normalized``, which rejects negative, NaN and infinite
+scores, and checked to hold one score per box (new-style) or tile
+(old-style), so a row of the wrong length names its player.
+``score_matrix`` stacks the rows of all players at one checked point into
+an array; it is the primitive of the search, averaging, verification and
+the ``continuity`` check, and ``scores`` is its one-row case.  The sample
+loops of ``validate`` (covering, equivariance, p_dte, p_pe), brute force
+and the sources of the ``reductions`` lifts check each point once and
+work on the plain rows, because at r <= 8 an array costs more to build
+than the arithmetic it would hold.  Points are checked where they enter
+from outside, in the public constructors of ``configspace``; the hot loops
+build points and cuts on faces they already know without the checks.
 
 Oracles must be pure and deterministic per (player, point): the solver
 evaluates them one at a time, in one thread, and reuses the averages it
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,7 +66,7 @@ from .configspace import (
     Cut,
     ZPoint,
     _barycentric_point,
-    act,
+    _face_point,
     point_from_barycentric,
 )
 
@@ -158,11 +161,24 @@ def _reject(row: list[float]):
     raise ValueError(f"oracle produced a non-finite score: {row}")
 
 
+def _row(prefs: PreferenceMatrix, player: int, domain) -> list[float]:
+    """One player's normalized scores at a point ``_domain`` passed: one
+    ``raw`` call, which must return one score per box or tile."""
+    row = _normalized(prefs.raw(player, domain))
+    if len(row) != prefs.r:
+        raise ValueError(f"oracle returned {len(row)} scores for player {player}, expected {prefs.r}")
+    return row
+
+
+def _rows(prefs: PreferenceMatrix, domain) -> list[list[float]]:
+    """Every player's ``_row`` at one point, player j in row j-1."""
+    return [_row(prefs, j, domain) for j in range(1, prefs.r + 1)]
+
+
 def score_matrix(prefs: PreferenceMatrix, point) -> np.ndarray:
     """Every player's normalized scores at one domain point, player j in
     row j-1: one check of the point, then r ``raw`` calls."""
-    domain = _domain(prefs, point)
-    return np.array([_normalized(prefs.raw(j, domain)) for j in range(1, prefs.r + 1)])
+    return np.array(_rows(prefs, _domain(prefs, point)))
 
 
 def scores(prefs: PreferenceMatrix, player: int, point) -> np.ndarray:
@@ -175,7 +191,7 @@ def scores(prefs: PreferenceMatrix, player: int, point) -> np.ndarray:
     """
     if not 1 <= player <= prefs.r:
         raise ValueError(f"player {player} outside 1..{prefs.r}")
-    return np.array(_normalized(prefs.raw(player, _domain(prefs, point))))
+    return np.array(_row(prefs, player, _domain(prefs, point)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +243,20 @@ def _gorbushka_old(width, dte):
 def _gorbushka_new(width, dte):
     def raw(player, point: ConfigPoint):
         z = point.cut.lengths
-        first, last = 1, len(z)
+        last = len(z)
+        # one walk over the allocation: each box's longest end tile, and its
+        # content summed in tile order, as ``box_lengths`` does
+        end_mass = [0.0] * point.r
+        contents = [0.0] * point.r
+        for tile, box in point.allocation:
+            v = z[tile - 1]
+            contents[box - 1] += v
+            if (tile == 1 or tile == last) and v > end_mass[box - 1]:
+                end_mass[box - 1] = v
+        if not dte:
+            return end_mass
         degenerate_signal = max(_bump(v, width) for v in z)
-        out = []
-        boxes = point.boxes()
-        for box, content in enumerate(point.box_lengths(), start=1):
-            tiles = boxes.get(box, ())
-            end_mass = max((z[t - 1] for t in tiles if t in (first, last)), default=0.0)
-            if dte:
-                out.append(max(end_mass, degenerate_signal * _bump(content, width)))
-            else:
-                out.append(end_mass)
-        return out
+        return [max(end, degenerate_signal * _bump(content, width)) for end, content in zip(end_mass, contents)]
 
     return raw
 
@@ -274,6 +292,12 @@ class _PiecewiseTable:
 _RANDOM_GRID = tuple(i / 7.0 for i in range(8))
 
 
+def _no_cut():
+    """A dead weak reference: what the memos of the lifts and of
+    ``piecewise_random`` hold before their first point."""
+    return None
+
+
 def _random_tables(rng, count, pin_zero):
     tables = []
     for _ in range(count):
@@ -300,19 +324,37 @@ def _piecewise_random_new(r, n_tiles, seed):
     tile_tables = [_random_tables(rng, n_tiles, pin_zero=True) for _ in range(r)]
     content_tables = [_random_tables(rng, 1, pin_zero=False)[0] for _ in range(r)]
 
-    def raw(player, point: ConfigPoint):
-        z = point.cut.lengths
+    def box_score(player, z, tiles):
+        # the content summed in tile order, as ``box_lengths`` does, and the
+        # tile scores by ``fsum``, which is exact
         tables = tile_tables[player - 1]
-        content = content_tables[player - 1]
-        # one walk over the allocation: box contents summed in tile order, as
-        # ``box_lengths`` does, and tile scores by ``fsum``, which is exact
-        lengths = [0.0] * point.r
-        parts = [[] for _ in lengths]
+        length = 0.0
+        for tile in tiles:
+            length += z[tile - 1]
+        return RANDOM_FLOOR + content_tables[player - 1](length) + math.fsum(tables[t - 1](z[t - 1]) for t in tiles)
+
+    # each player's box scores at the last cut seen, by the tiles a box
+    # holds, which is all a box's score depends on: relabellings and other
+    # allocations of one cut share its ``Cut``.  The cut is held weakly, so
+    # a kept oracle keeps no cut.
+    seen = (_no_cut, [])
+
+    def raw(player, point: ConfigPoint):
+        nonlocal seen
+        cut = point.cut
+        if seen[0]() is not cut:
+            seen = (weakref.ref(cut), [{} for _ in range(r)])
+        scored = seen[1][player - 1]
+        held = [[] for _ in range(r)]
         for tile, box in point.allocation:
-            v = z[tile - 1]
-            lengths[box - 1] += v
-            parts[box - 1].append(tables[tile - 1](v))
-        return [RANDOM_FLOOR + content(length) + math.fsum(part) for length, part in zip(lengths, parts)]
+            held[box - 1].append(tile)
+        out = []
+        for tiles in map(tuple, held):
+            score = scored.get(tiles)
+            if score is None:
+                score = scored[tiles] = box_score(player, cut.lengths, tiles)
+            out.append(score)
+        return out
 
     return raw
 
@@ -463,14 +505,39 @@ def _uniform_simplex(rng, n: int) -> np.ndarray:
     return z
 
 
+def _np_sum(values: Sequence[float]) -> float:
+    """``np.sum`` of a float list, bit for bit: numpy's pairwise summation,
+    left to right below 8 entries, 8 interleaved accumulators up to 128,
+    and two halves, cut at a multiple of 8, above."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _np_sum(values[:half]) + _np_sum(values[half:])
+    acc = list(values[:8])
+    blocks = n - n % 8
+    for i in range(8, blocks, 8):
+        for j in range(8):
+            acc[j] += values[i + j]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for v in values[blocks:]:
+        total += v
+    return total
+
+
 def sample_lengths(rng, n_tiles: int, force_degenerate: bool = False) -> tuple[float, ...]:
-    z = _uniform_simplex(rng, n_tiles)
+    z = _uniform_simplex(rng, n_tiles).tolist()
     if force_degenerate and n_tiles >= 2:
         k = int(rng.integers(1, n_tiles))
-        idx = rng.choice(n_tiles, size=k, replace=False)
-        z[idx] = 0.0
-        z /= z.sum()
-    return tuple(z.tolist())
+        for i in rng.choice(n_tiles, size=k, replace=False).tolist():
+            z[i] = 0.0
+        total = _np_sum(z)
+        z = [v / total for v in z]
+    return tuple(z)
 
 
 def sample_config_point(rng, variant: Variant, force_degenerate: bool = False) -> ConfigPoint:
@@ -520,36 +587,36 @@ def validate(
             point = _sample_domain(rng, prefs, force_deg)
             domain = _domain(prefs, point)
             # player by player, stopping at the first who accepts no box
-            accepting = (
-                max(_normalized(prefs.raw(j, domain)), default=0.0) > PREFERENCE_TOL
-                for j in range(1, prefs.r + 1)
-            )
+            accepting = (max(_row(prefs, j, domain)) > PREFERENCE_TOL for j in range(1, prefs.r + 1))
             if not all(accepting):
                 violations.append(_witness(point))
         elif "equivariance" in property:
             point = _sample_domain(rng, prefs, force_deg)
-            sigma = tuple(int(v) + 1 for v in rng.permutation(prefs.r))
-            before = score_matrix(prefs, point)
+            # sigma, 0-based: box b + 1 becomes box perm[b] + 1
+            perm = rng.permutation(prefs.r).tolist()
+            before = _rows(prefs, _domain(prefs, point))
             # the two-axiom property tags each violation with its axiom
             tag = {} if property == "equivariance" else {"axiom": "equivariance"}
             if tag:
-                refusing = np.flatnonzero(before.max(axis=1) <= PREFERENCE_TOL)
-                if refusing.size:
-                    violations.append(
-                        {"axiom": "covering", "point": _witness(point), "player": int(refusing[0]) + 1}
-                    )
-            after = score_matrix(prefs, act(sigma, point))
-            dev = float(np.abs(after[:, np.array(sigma) - 1] - before).max())
+                refusing = next((j for j, row in enumerate(before, 1) if max(row) <= PREFERENCE_TOL), None)
+                if refusing is not None:
+                    violations.append({"axiom": "covering", "point": _witness(point), "player": refusing})
+            # ``act`` without its permutation check: relabelled boxes, same cut
+            moved = tuple((tile, perm[box - 1] + 1) for tile, box in point.allocation)
+            after = _rows(prefs, _face_point(point.variant, point.cut, moved))
+            dev = max(abs(a[p] - b) for a, row in zip(after, before) for p, b in zip(perm, row))
             max_dev = max(max_dev, dev)
             if dev > tol:
-                violations.append({**tag, "point": _witness(point), "sigma": list(sigma), "deviation": dev})
+                sigma = [p + 1 for p in perm]
+                violations.append({**tag, "point": _witness(point), "sigma": sigma, "deviation": dev})
         elif property == "p_dte":
             z = sample_lengths(rng, prefs.r, force_degenerate=True)
-            deg = [i + 1 for i, v in enumerate(z) if v <= DEGENERACY_TOL]
+            deg = [i for i, v in enumerate(z) if v <= DEGENERACY_TOL]
             if len(deg) < 2:
                 continue
-            s = score_matrix(prefs, z)[:, np.array(deg) - 1]
-            dev = float((s.max(axis=1) - s.min(axis=1)).max())
+            dev = max(
+                max(row[d] for d in deg) - min(row[d] for d in deg) for row in _rows(prefs, _domain(prefs, z))
+            )
             max_dev = max(max_dev, dev)
             if dev > tol:
                 violations.append({"lengths": list(z), "deviation": dev})
@@ -582,21 +649,24 @@ def _repad_zeros(rng, z):
 
 
 def _ppe_clause_violation(prefs, z, z_alt):
-    ess = [i + 1 for i, v in enumerate(z) if v > DEGENERACY_TOL]
-    ess_alt = [i + 1 for i, v in enumerate(z_alt) if v > DEGENERACY_TOL]
-    deg = [i + 1 for i, v in enumerate(z) if v <= DEGENERACY_TOL]
-    deg_alt = [i + 1 for i, v in enumerate(z_alt) if v <= DEGENERACY_TOL]
+    """The first p_pe clause a player breaks between the two paddings, or
+    None; each player's rows are read only until a clause breaks."""
+    ess = [i for i, v in enumerate(z) if v > DEGENERACY_TOL]
+    ess_alt = [i for i, v in enumerate(z_alt) if v > DEGENERACY_TOL]
+    deg = [i for i, v in enumerate(z) if v <= DEGENERACY_TOL]
+    deg_alt = [i for i, v in enumerate(z_alt) if v <= DEGENERACY_TOL]
+    domain, domain_alt = _domain(prefs, z), _domain(prefs, z_alt)
     for j in range(1, prefs.r + 1):
-        s = scores(prefs, j, z)
-        s_alt = scores(prefs, j, z_alt)
+        s = _row(prefs, j, domain)
+        s_alt = _row(prefs, j, domain_alt)
         for a, b in zip(ess, ess_alt):
-            if (s[a - 1] > PREFERENCE_TOL) != (s_alt[b - 1] > PREFERENCE_TOL):
+            if (s[a] > PREFERENCE_TOL) != (s_alt[b] > PREFERENCE_TOL):
                 return 1
-        likes_deg = any(s[d - 1] > PREFERENCE_TOL for d in deg)
-        likes_deg_alt = any(s_alt[d - 1] > PREFERENCE_TOL for d in deg_alt)
+        likes_deg = any(s[d] > PREFERENCE_TOL for d in deg)
+        likes_deg_alt = any(s_alt[d] > PREFERENCE_TOL for d in deg_alt)
         if deg and deg_alt:
-            all_deg = all(s[d - 1] > PREFERENCE_TOL for d in deg)
-            all_deg_alt = all(s_alt[d - 1] > PREFERENCE_TOL for d in deg_alt)
+            all_deg = all(s[d] > PREFERENCE_TOL for d in deg)
+            all_deg_alt = all(s_alt[d] > PREFERENCE_TOL for d in deg_alt)
             if (likes_deg and not all_deg_alt) or (likes_deg_alt and not all_deg):
                 return 2
     return None

@@ -31,6 +31,7 @@ rejects negative and non-finite scores.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,6 +42,7 @@ from .configspace import (
     DEGENERACY_TOL,
     ConfigPoint,
     Cut,
+    _known_points,
     degenerate_and_essential,
 )
 from .preferences import (
@@ -49,9 +51,10 @@ from .preferences import (
     PREFERENCE_TOL,
     PreferenceMatrix,
     PreferenceValidationError,
-    _normalized,
+    _no_cut,
+    _row,
+    _rows,
     _uniform_simplex,
-    score_matrix,
     validate,
 )
 
@@ -116,12 +119,13 @@ def eliminate_superfluous(cut: Cut, keep: str = "left") -> Cut:
             f"cut needs at least {quota} degenerate tiles to reduce, found {len(candidates)}"
         )
     drop = set(candidates[:quota])
-    return Cut(tuple(p for i, p in enumerate(points) if i not in drop))
+    # a subsequence of a checked cut's points needs no checks
+    return _known_points(tuple(p for i, p in enumerate(points) if i not in drop))
 
 
 def _normalized_source_scores(source, player, lengths):
     """The source player's normalized scores at r tile lengths, as a list."""
-    s = _normalized(source.raw(player, lengths))
+    s = _row(source, player, lengths)
     if max(s, default=0.0) <= 0.0:
         raise PreferenceValidationError(
             "source oracle accepts nothing at a sampled point (covering violated)"
@@ -162,15 +166,23 @@ def psi(old_prefs: PreferenceMatrix, epsilon: float | None = None) -> ReducedPre
             )
     _check_short_last_tile(old_prefs, epsilon)
 
+    # the last point queried, held weakly so that a kept oracle keeps no
+    # point, with its first degenerate tile and its boxes: the r players
+    # query one point in turn
+    seen = (_no_cut, None, None)
+
     def raw(player, point: ConfigPoint):
+        nonlocal seen
         if point.cut.tile_count != r:
             raise ValueError(f"expected a point with {r} tiles")
         z = point.cut.lengths
         s = _normalized_source_scores(old_prefs, player, z)
-        first_deg = next((label for label, v in enumerate(z, start=1) if v <= DEGENERACY_TOL), None)
+        if seen[0]() is not point:
+            first = next((label for label, v in enumerate(z, start=1) if v <= DEGENERACY_TOL), None)
+            seen = (weakref.ref(point), first, point.boxes())
+        _, first_deg, boxes = seen
         deg = first_deg is not None
         deg_score = s[first_deg - 1] if deg else 0.0
-        boxes = point.boxes()
         out = []
         for box in range(1, r + 1):
             tiles = boxes.get(box, ())
@@ -210,9 +222,8 @@ def _check_short_last_tile(old_prefs, epsilon):
     lows = max(10 * DEGENERACY_TOL, epsilon * 1e-3)
     for i in range(PSI_CHECK_SAMPLES):
         t = float(lows + (epsilon - lows) * (i + 0.5) / PSI_CHECK_SAMPLES)
-        rest = _uniform_simplex(rng, r - 1) * (1.0 - t)
-        z = tuple(float(v) for v in rest) + (t,)
-        if (score_matrix(old_prefs, z)[:, r - 1] > PREFERENCE_TOL).any():
+        z = tuple(v * (1.0 - t) for v in _uniform_simplex(rng, r - 1).tolist()) + (t,)
+        if any(row[r - 1] > PREFERENCE_TOL for row in _rows(old_prefs, z)):
             raise PreferenceValidationError(
                 f"source prefers the last tile at length {t:.3g} < epsilon={epsilon:.3g}"
             )

@@ -54,6 +54,7 @@ from .preferences import (
     PREFERENCE_TOL,
     PreferenceMatrix,
     PreferenceValidationError,
+    _rows,
     score_matrix,
     validate,
 )
@@ -150,6 +151,10 @@ def average_matrix(prefs: PreferenceMatrix, point: ConfigPoint) -> StochasticMat
 #: they stop at this many players (8! * 8 = 322,560 entries)
 MAX_ASSIGNMENT_PLAYERS = 8
 
+#: ``brute_force`` gathers the assigned scores of as many points at once as
+#: keep the gathered array within this many entries (and at least one point)
+BRUTE_GATHER = 4096
+
 
 @lru_cache(maxsize=None)
 def _permutation_table(r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -182,13 +187,22 @@ def _first_above(entries: np.ndarray, threshold: float) -> np.ndarray | None:
     return perms[first] if ok[first] else None
 
 
+def _max_mins(matrices) -> tuple[list[float], list[int]]:
+    """For each r x r score matrix, in one gather: the largest
+    smallest-assigned score over all permutations, and the row of
+    ``_permutation_table`` of the lex-least permutation reaching it."""
+    stacked = np.asarray(matrices, dtype=float)
+    count, r = stacked.shape[:2]
+    worst = stacked.reshape(count, r * r).take(_permutation_table(r)[1], axis=1).min(axis=2)
+    best = worst.argmax(axis=1)  # the first maximum: lex-least on ties
+    return worst[np.arange(count), best].tolist(), best.tolist()
+
+
 def _max_min(entries: np.ndarray) -> tuple[float, np.ndarray]:
     """The largest smallest-assigned score over all permutations, and the
     lex-least permutation reaching it."""
-    perms, assigned = _assigned_scores(entries)
-    worst = assigned.min(axis=1)
-    best = int(worst.argmax())  # the first maximum: lex-least on ties
-    return float(worst[best]), perms[best]
+    (value,), (best,) = _max_mins([entries])
+    return value, _permutation_table(len(entries))[0][best]
 
 
 def _one_based(perm: np.ndarray) -> tuple[int, ...]:
@@ -389,6 +403,12 @@ class SearchResult:
     pl_zeros: tuple[tuple[int, int], ...]
 
 
+def _normalized_weights(weights: np.ndarray) -> tuple[float, ...]:
+    """Barycentric weights clipped at 0 and divided by their sum."""
+    w = np.clip(weights, 0.0, None)
+    return tuple((w / w.sum()).tolist())
+
+
 def _secant_refine(evaluate, cells, w, h, tolerance, steps=12, retries=2):
     """Simplex-secant steps from a PL zero; returns the best (residual, weights).
 
@@ -454,18 +474,29 @@ def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | N
     evaluations = 0
     best = (math.inf, None, None)  # (residual, facet, barycentric weights)
     pl_zeros: dict[int, int] = {}  # grid denominator -> PL zeros found
-    cached = [{} for _ in reps]  # per facet: grid weights -> F
+    # (cut-points, allocation) -> (F, residual): a point on a face that
+    # several representatives share, or on a coarser grid, is scored once
+    scored = {}
     zeros_seen = [0] * len(reps)
 
-    def evaluate(cells, weights):
-        """F = column averages - 1/r at barycentric weights on one facet, its
-        residual, and the weights, normalized, that the point was built from."""
+    def score(cells, w):
+        """F = column averages - 1/r at normalized barycentric weights on one
+        facet, and its residual, evaluated once per point of the search."""
         nonlocal evaluations
-        evaluations += 1
-        w = np.clip(weights, 0.0, None)
-        w = tuple(float(v) for v in w / w.sum())
-        f = _covered_scores(prefs, _barycentric_point(variant, cells, w)).mean(axis=0) - 1.0 / parts
-        return f, float(np.abs(f).max()), w
+        point = _barycentric_point(variant, cells, w)
+        key = (point.cut.points, point.allocation)
+        found = scored.get(key)
+        if found is None:
+            evaluations += 1
+            f = _covered_scores(prefs, point).mean(axis=0) - 1.0 / parts
+            found = scored[key] = (f, float(np.abs(f).max()))
+        return found
+
+    def evaluate(cells, weights):
+        """``score`` at barycentric weights, with the weights, normalized,
+        that the point was built from."""
+        w = _normalized_weights(weights)
+        return (*score(cells, w), w)
 
     def result(converged):
         # the point leaves the search through the public, checked constructor
@@ -483,19 +514,20 @@ def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | N
         simplices = np.concatenate(
             [np.searchsorted(codes, s @ place) for s in _kuhn_simplices(parts, k)]
         )
+        grid_weights = [_normalized_weights(counts / k) for counts in grid]
         # facets that held PL zeros on the coarser grid go first
         for idx in sorted(range(len(reps)), key=lambda i: zeros_seen[i] == 0):
-            cells, cache = reps[idx], cached[idx]
-            for counts in grid:
-                key = tuple(counts / k)
-                if key not in cache:
-                    cache[key], v, at = evaluate(cells, counts / k)
-                    if v < best[0]:
-                        best = (v, cells, at)
-                    if v <= opts.tolerance:
-                        return result(True)
-            values = np.array([cache[tuple(counts / k)] for counts in grid])
-            zeros = _pl_zeros(grid / k, values, simplices)
+            cells = reps[idx]
+            values = []
+            for w in grid_weights:
+                f, v = score(cells, w)
+                # a point scored before left ``best`` at or below its residual
+                if v < best[0]:
+                    best = (v, cells, w)
+                if v <= opts.tolerance:
+                    return result(True)
+                values.append(f)
+            zeros = _pl_zeros(grid / k, np.array(values), simplices)
             zeros_seen[idx] = len(zeros)
             pl_zeros[k] += len(zeros)
             for w in zeros:
@@ -762,6 +794,19 @@ def brute_force(
     best_point = None
     best_sigma = None
     evaluated = 0
+    chunk = max(1, BRUTE_GATHER // (math.factorial(variant.rows) * variant.rows))
+    points, matrices = [], []
+
+    def take_best():
+        # the first strict maximum of the chunk, in scan order
+        nonlocal best_value, best_point, best_sigma
+        values, firsts = _max_mins(matrices)
+        for point, value, first in zip(points, values, firsts):
+            if value > best_value:
+                best_value, best_point = value, point
+                best_sigma = _one_based(_permutation_table(variant.rows)[0][first])
+        points.clear()
+        matrices.clear()
 
     for cut in _grid_cuts(variant, grid_resolution):
         essential = tuple(
@@ -770,11 +815,12 @@ def brute_force(
         for alloc in _canonical_allocations(variant, essential):
             point = _face_point(variant, cut, tuple(alloc.items()))
             evaluated += 1
-            value, perm = _max_min(score_matrix(prefs, point))
-            if value > best_value:
-                best_value = value
-                best_point = point
-                best_sigma = _one_based(perm)
+            points.append(point)
+            matrices.append(_rows(prefs, point))
+            if len(points) == chunk:
+                take_best()
+    if points:
+        take_best()
 
     return BruteForceResult(
         feasible=best_value > PREFERENCE_TOL,

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import types
 
@@ -145,6 +146,23 @@ def test_psi_supports_match_case_rules(source_factory):
                 if v > PREFERENCE_TOL
             }
             assert got == psi_preferred_boxes(source, player, point)
+
+
+def test_psi_memo_of_the_last_point_scores_as_a_fresh_lift():
+    # psi keeps the first degenerate tile and the boxes of the last point
+    # queried, by identity; points taking turns, and a point equal to the
+    # last but not the same object, score as on a lift whose memo was just
+    # moved to another point
+    rng = np.random.default_rng(23)
+    variant = gorbushka_join(3)
+    lifted, reference = psi(make_builtin("hungry", 3)), psi(make_builtin("hungry", 3))
+    other = sample_config_point(rng, variant)
+    points = [sample_config_point(rng, variant, force_degenerate=i % 2 == 1) for i in range(20)]
+    queries = points + points[::-2] + [dataclasses.replace(p) for p in points[:5]]
+    for point in queries:
+        for player in (rng.permutation(3) + 1).tolist():
+            reference.raw(1, other)
+            assert lifted.raw(player, point) == reference.raw(player, point)
 
 
 def test_psi_requires_short_last_tile_margin():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -565,17 +566,37 @@ BRUTE_EQUIVALENCE = [("c1", r) for r in (2, 3, 4)] + [("c2", r) for r in (2, 3)]
 ]
 
 
+def _all_tie(variant):
+    """Every player scores every box the same: every point ties."""
+    r = variant.rows
+    return PreferenceMatrix(r=r, kind="new", model="tie", raw=lambda player, point: [1.0] * r, variant=variant)
+
+
 @pytest.mark.parametrize("space, r", BRUTE_EQUIVALENCE)
-def test_brute_force_orbit_scan_matches_the_full_scan(space, r):
+def test_brute_force_orbit_scan_matches_the_full_scan(space, r, monkeypatch):
     # the first strict maximum of the full scan is the first of its orbit,
-    # so the orbit scan reports the same point, value and assignment
+    # so the orbit scan reports the same point, value and assignment; with
+    # the gathered chunk cut to a point or two, every scan spans many chunks
+    # and the first maximum must survive the chunk boundaries, also where
+    # every point ties (all-tie) or none clears the threshold (gorbushka
+    # without degenerate tiles, at r >= 3)
     variant = for_space(space, r)
-    for model in BUILTIN_MODELS:
-        prefs = make_builtin(model, r, kind="new", variant=variant, seed=0)
-        orbits = brute_force(variant, prefs, 7).to_json()
-        full = oracles.full_brute_scan(variant, prefs, 7)
-        assert orbits.pop("evaluated") < full.pop("evaluated")
-        assert orbits == full, model
+    models = [make_builtin(model, r, kind="new", variant=variant, seed=0) for model in BUILTIN_MODELS]
+    models += [_all_tie(variant), make_builtin("gorbushka", r, kind="new", params={"dte": False}, variant=variant)]
+    fulls = [oracles.full_brute_scan(variant, prefs, 7) for prefs in models]
+    evaluated = {full.pop("evaluated") for full in fulls}
+    entries = math.factorial(r) * r
+    for gather in (solver.BRUTE_GATHER, entries, 2 * entries + 1):
+        monkeypatch.setattr(solver, "BRUTE_GATHER", gather)
+        for prefs, full in zip(models, fulls):
+            orbits = brute_force(variant, prefs, 7).to_json()
+            assert orbits.pop("evaluated") < min(evaluated)
+            assert orbits == full, (prefs.model, gather)
+    # one or two points a chunk: every scan spans more than two chunks
+    assert _scan_size(variant, 7) > 2 * 2
+    assert brute_force(variant, models[-2], 7).max_min_score == 1.0 / r
+    if r >= 3:
+        assert not brute_force(variant, models[-1], 7).feasible
 
 
 @pytest.mark.parametrize(
@@ -770,6 +791,63 @@ def _counted(prefs):
     return prefs, calls
 
 
+@pytest.mark.parametrize(
+    "model, space, r, seed, evaluations", [("piecewise_random", "c3", 4, 1, 255), ("hungry", "c1", 5, 0, 386)]
+)
+def test_search_scores_each_point_once(model, space, r, seed, evaluations):
+    # grid points on faces that orbit representatives share, and points of a
+    # coarser grid, repeat; the search scores each (cut, allocation) once
+    # and counts only what it scores (551 and 581 evaluations before)
+    variant = for_space(space, r)
+    prefs = make_builtin(model, r, kind="new", variant=variant, seed=seed)
+    raw, seen = prefs.raw, []
+
+    def recording(player, point):
+        seen.append((player, point.cut.points, point.allocation))
+        return raw(player, point)
+
+    prefs.raw = recording
+    result = search(variant, prefs)
+    assert result.converged
+    assert result.evaluations == evaluations
+    assert len(seen) == r * evaluations
+    assert len(set(seen)) == len(seen)
+
+
+def _wrong_length(prefs, extra):
+    """``prefs`` whose rows lose their last score (extra=-1) or gain one."""
+    raw = prefs.raw
+
+    def resized(player, point):
+        row = list(raw(player, point))
+        return row[:-1] if extra < 0 else row + [0.5] * extra
+
+    return PreferenceMatrix(r=prefs.r, kind=prefs.kind, model="resized", raw=resized, variant=prefs.variant)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_wrong_length_rows_raise_naming_the_player_and_the_count(extra):
+    # the row length is checked where a row is normalized, so every entry
+    # point raises the same ValueError, not a numpy error, and covering no
+    # longer passes such an oracle
+    variant = gorbushka_join(3)
+    prefs = _wrong_length(make_builtin("piecewise_random", 3, kind="new", variant=variant), extra)
+    message = f"oracle returned {3 + extra} scores for player 1, expected 3"
+    for prop in ("covering", "equivariance", "covering+equivariance"):
+        with pytest.raises(ValueError, match=message):
+            validate(prefs, prop, 10)
+    with pytest.raises(ValueError, match=message):
+        solve(variant, prefs)
+    with pytest.raises(ValueError, match=message):
+        brute_force(variant, prefs, 7)
+    old = _wrong_length(make_builtin("hungry", 3), extra)
+    for prop in ("covering", "p_dte", "p_pe", "continuity"):
+        with pytest.raises(ValueError, match=message):
+            validate(old, prop, 10)
+    with pytest.raises(ValueError, match=message):
+        psi(old, 1e-3)
+
+
 def test_solve_caps_players_before_the_oracle_is_called():
     variant = gorbushka_join(9)
     prefs, calls = _counted(make_builtin("piecewise_random", 9, kind="new", variant=variant))
@@ -806,9 +884,11 @@ def test_solve_and_brute_force_make_a_fixed_number_of_oracle_calls():
     prefs, calls = _counted(make_builtin("piecewise_random", 3, kind="new", variant=variant, seed=0))
     solve(variant, prefs)
     # 1,200 calls validate covering and equivariance in one pass (200
-    # samples, 3 players, at the point and at its relabelling), 291 search,
-    # average and verify
-    assert calls[0] == 1200 + 291
+    # samples, 3 players, at the point and at its relabelling); then the
+    # search scores 85 distinct points (of the 95 it reached, 10 repeat a
+    # point on a face that two representatives share), 3 calls each, and
+    # average and verify call 3 each: 3 x 85 + 6 = 261
+    assert calls[0] == 1200 + 261
     calls[0] = 0
     # 1,200 calls validate equivariance, then 3 score each of the 101 points
     assert brute_force(variant, prefs, 9).evaluated == 101

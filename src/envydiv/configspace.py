@@ -37,6 +37,11 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
+def _tile_lengths(points: tuple[float, ...]) -> tuple[float, ...]:
+    bounds = (0.0,) + points + (1.0,)
+    return tuple(max(0.0, b - a) for a, b in zip(bounds, bounds[1:]))
+
+
 @dataclass(frozen=True)
 class Cut:
     """Non-decreasing cut-points in [0, 1]; tile i is [x_{i-1}, x_i]."""
@@ -57,8 +62,7 @@ class Cut:
 
     @cached_property
     def lengths(self) -> tuple[float, ...]:
-        bounds = (0.0,) + self.points + (1.0,)
-        return tuple(max(0.0, b - a) for a, b in zip(bounds, bounds[1:]))
+        return _tile_lengths(self.points)
 
     def tile(self, label: int) -> Interval:
         bounds = (0.0,) + self.points + (1.0,)
@@ -202,9 +206,11 @@ def _face_point(variant: Variant, cut: Cut, allocation: tuple[tuple[int, int], .
 
 def _known_points(points: tuple[float, ...]) -> Cut:
     """``Cut`` without its checks, for float cut-points already known to be
-    non-decreasing and in [0, 1], such as a subsequence of a cut's points."""
+    non-decreasing and in [0, 1], such as a subsequence of a cut's points;
+    its lengths are set at once, where their ``cached_property`` would
+    store them."""
     cut = object.__new__(Cut)
-    vars(cut)["points"] = points
+    vars(cut).update(points=points, lengths=_tile_lengths(points))
     return cut
 
 

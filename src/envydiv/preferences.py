@@ -20,16 +20,17 @@ Built-in models:
 Every score row is read through ``_row``: the player's ``raw`` scores,
 normalized by ``_normalized``, which rejects negative, NaN and infinite
 scores, and checked to hold one score per box (new-style) or tile
-(old-style), so a row of the wrong length names its player.
-``score_matrix`` stacks the rows of all players at one checked point into
-an array; it is the primitive of the search, averaging, verification and
-the ``continuity`` check, and ``scores`` is its one-row case.  The sample
-loops of ``validate`` (covering, equivariance, p_dte, p_pe), brute force
-and the sources of the ``reductions`` lifts check each point once and
-work on the plain rows, because at r <= 8 an array costs more to build
-than the arithmetic it would hold.  Points are checked where they enter
-from outside, in the public constructors of ``configspace``; the hot loops
-build points and cuts on faces they already know without the checks.
+(old-style), so a row of the wrong length names the player and the count.
+The hot loops work on these plain rows, a list per player, because at
+r <= 8 an array costs more to build than the arithmetic it would hold:
+the sample loops of ``validate`` (covering, equivariance, p_dte, p_pe),
+the search's test map and averaging, brute force (which gathers many
+points' rows into one array) and the sources of the ``reductions`` lifts.
+``score_matrix`` stacks every player's row at one checked point into an
+array, for verification and the ``continuity`` check; ``scores`` is its
+one-row case.  Points are checked where they enter from outside, in the
+public constructors of ``configspace``; the hot loops build points and
+cuts on faces they already know without the checks.
 
 Oracles must be pure and deterministic per (player, point): the solver
 evaluates them one at a time, in one thread, and reuses the averages it
@@ -292,10 +293,23 @@ class _PiecewiseTable:
 _RANDOM_GRID = tuple(i / 7.0 for i in range(8))
 
 
-def _no_cut():
-    """A dead weak reference: what the memos of the lifts and of
-    ``piecewise_random`` hold before their first point."""
-    return None
+class _LastSeen:
+    """``make(obj)`` for the last object passed, compared by identity.
+
+    The r players query one point in turn, so oracles keep what they share
+    at that point here.  The object is held by a weak reference, so an
+    oracle kept after its solve keeps no point or cut.
+    """
+
+    def __init__(self, make: Callable):
+        self._make = make
+        self._ref = self._value = None
+
+    def __call__(self, obj):
+        if self._ref is None or self._ref() is not obj:
+            self._value = self._make(obj)
+            self._ref = weakref.ref(obj)
+        return self._value
 
 
 def _random_tables(rng, count, pin_zero):
@@ -333,18 +347,14 @@ def _piecewise_random_new(r, n_tiles, seed):
             length += z[tile - 1]
         return RANDOM_FLOOR + content_tables[player - 1](length) + math.fsum(tables[t - 1](z[t - 1]) for t in tiles)
 
-    # each player's box scores at the last cut seen, by the tiles a box
-    # holds, which is all a box's score depends on: relabellings and other
-    # allocations of one cut share its ``Cut``.  The cut is held weakly, so
-    # a kept oracle keeps no cut.
-    seen = (_no_cut, [])
+    # each player's box scores at the last cut, by the tiles a box holds,
+    # which is all a box's score depends on: relabellings and other
+    # allocations of one cut share its ``Cut``
+    scored_at = _LastSeen(lambda cut: [{} for _ in range(r)])
 
     def raw(player, point: ConfigPoint):
-        nonlocal seen
         cut = point.cut
-        if seen[0]() is not cut:
-            seen = (weakref.ref(cut), [{} for _ in range(r)])
-        scored = seen[1][player - 1]
+        scored = scored_at(cut)[player - 1]
         held = [[] for _ in range(r)]
         for tile, box in point.allocation:
             held[box - 1].append(tile)

@@ -18,20 +18,25 @@ violation of the source.  Where they give the same reduced cut, a query
 scores it once: a pure source (as ``preferences`` requires) cannot
 disagree with itself there, and an impure one is not caught there.  The
 memo of the last cut's reductions is one module-level entry
-(``_reductions``), not a cache per lifted oracle, so an oracle kept after
-its solve keeps no cut.
+(``_reductions``), not a cache per lifted oracle.
+
+The r players query one point in turn, so each lift keeps what they share
+at the last point queried, compared by identity: psi its boxes and first
+degenerate tile, phi its reductions laid onto its boxes.  The point is
+held by a weak reference, so an oracle kept after its solve keeps no cut.
 
 Where checks run: each lift validates its source on seeded samples once,
 when it is built.  Queries of a lifted oracle check only the tile count of
 the point; the source is then called on the cut's own lengths (psi) or on
 the reduced lengths (phi), which have the source's r tiles by construction,
-and its rows go through the shared normalizer of ``preferences``, which
-rejects negative and non-finite scores.
+and its rows go through the shared row reader of ``preferences``, which
+rejects negative and non-finite scores and rows of the wrong length.  A
+reduced cut keeps a subsequence of the checked cut's points, so
+``eliminate_superfluous`` builds it without the ``Cut`` checks.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,7 +56,7 @@ from .preferences import (
     PREFERENCE_TOL,
     PreferenceMatrix,
     PreferenceValidationError,
-    _no_cut,
+    _LastSeen,
     _row,
     _rows,
     _uniform_simplex,
@@ -166,21 +171,18 @@ def psi(old_prefs: PreferenceMatrix, epsilon: float | None = None) -> ReducedPre
             )
     _check_short_last_tile(old_prefs, epsilon)
 
-    # the last point queried, held weakly so that a kept oracle keeps no
-    # point, with its first degenerate tile and its boxes: the r players
-    # query one point in turn
-    seen = (_no_cut, None, None)
+    def shape(point):
+        # the first degenerate tile and the boxes
+        z = point.cut.lengths
+        return next((label for label, v in enumerate(z, start=1) if v <= DEGENERACY_TOL), None), point.boxes()
+
+    shape_of = _LastSeen(shape)
 
     def raw(player, point: ConfigPoint):
-        nonlocal seen
         if point.cut.tile_count != r:
             raise ValueError(f"expected a point with {r} tiles")
-        z = point.cut.lengths
-        s = _normalized_source_scores(old_prefs, player, z)
-        if seen[0]() is not point:
-            first = next((label for label, v in enumerate(z, start=1) if v <= DEGENERACY_TOL), None)
-            seen = (weakref.ref(point), first, point.boxes())
-        _, first_deg, boxes = seen
+        s = _normalized_source_scores(old_prefs, player, point.cut.lengths)
+        first_deg, boxes = shape_of(point)
         deg = first_deg is not None
         deg_score = s[first_deg - 1] if deg else 0.0
         out = []
@@ -277,18 +279,30 @@ def phi(
             )
 
     other = "right" if keep == "left" else "left"
-
-    def box_scores(player, point, reduction):
-        lengths, labels, first_degenerate = reduction
-        s = _normalized_source_scores(old_prefs, player, lengths)
+    def placement(point):
+        """The point's reductions (the mirror where it differs, else None),
+        each as the reduced lengths, (box, reduced label) pairs, the empty
+        boxes and the first degenerate reduced label."""
         tile_to_box = dict(point.allocation)
+        found = []
+        for reduction in _reductions(point.cut, keep, other):
+            if reduction is not None:
+                lengths, labels, first_degenerate = reduction
+                boxes = [(tile_to_box[full], reduced) for full, reduced in labels]
+                occupied = {box for box, _ in boxes}
+                empty = [b for b in range(1, r + 1) if b not in occupied]
+                reduction = (lengths, boxes, empty, first_degenerate)
+            found.append(reduction)
+        return found
+
+    placed = _LastSeen(placement)
+
+    def box_scores(player, reduction):
+        lengths, boxes, empty, first_degenerate = reduction
+        s = _normalized_source_scores(old_prefs, player, lengths)
         out = [0.0] * r
-        occupied = set()
-        for full_label, reduced_label in labels:
-            box = tile_to_box[full_label]
+        for box, reduced_label in boxes:
             out[box - 1] = s[reduced_label - 1]
-            occupied.add(box)
-        empty = [b for b in range(1, r + 1) if b not in occupied]
         if first_degenerate is not None and empty:
             deg_score = s[first_degenerate - 1]
             if deg_score > PREFERENCE_TOL:
@@ -300,11 +314,11 @@ def phi(
     def raw(player, point: ConfigPoint):
         if point.cut.tile_count != 2 * r - 1:
             raise ValueError(f"expected a point with {2 * r - 1} tiles")
-        reduction, mirror_reduction = _reductions(point.cut, keep, other)
-        primary = box_scores(player, point, reduction)
+        reduction, mirror_reduction = placed(point)
+        primary = box_scores(player, reduction)
         if mirror_reduction is None:  # a pure source scores it the same
             return primary
-        mirror = box_scores(player, point, mirror_reduction)
+        mirror = box_scores(player, mirror_reduction)
         drift = max(abs(a - b) for a, b in zip(primary, mirror))
         if drift > PREFERENCE_TOL:
             raise PreferenceValidationError(

@@ -26,6 +26,7 @@ import dataclasses
 import itertools
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
@@ -129,18 +130,19 @@ class StochasticMatrix:
         return [[float(v) for v in row] for row in self.entries]
 
 
-def _covered_scores(prefs: PreferenceMatrix, point: ConfigPoint) -> np.ndarray:
-    """``score_matrix``, rejecting a point where some player accepts no box."""
-    entries = score_matrix(prefs, point)
-    refused = ~entries.any(axis=1)
-    if refused.any():
-        raise ValueError(f"player {int(refused.argmax()) + 1} accepts no box at {point.to_json()}")
-    return entries
+def _covered_rows(prefs: PreferenceMatrix, point: ConfigPoint) -> list[list[float]]:
+    """Every player's score row at the point, rejecting a point where some
+    player accepts no box."""
+    rows = _rows(prefs, point)
+    for player, row in enumerate(rows, start=1):
+        if not any(row):
+            raise ValueError(f"player {player} accepts no box at {point.to_json()}")
+    return rows
 
 
 def average_matrix(prefs: PreferenceMatrix, point: ConfigPoint) -> StochasticMatrix:
     """Stack every player's score vector at the point and average per box."""
-    return StochasticMatrix(_covered_scores(prefs, point))
+    return StochasticMatrix(np.array(_covered_rows(prefs, point)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +189,22 @@ def _first_above(entries: np.ndarray, threshold: float) -> np.ndarray | None:
     return perms[first] if ok[first] else None
 
 
-def _max_mins(matrices) -> tuple[list[float], list[int]]:
-    """For each r x r score matrix, in one gather: the largest
-    smallest-assigned score over all permutations, and the row of
-    ``_permutation_table`` of the lex-least permutation reaching it."""
-    stacked = np.asarray(matrices, dtype=float)
-    count, r = stacked.shape[:2]
-    worst = stacked.reshape(count, r * r).take(_permutation_table(r)[1], axis=1).min(axis=2)
+def _max_mins(flat: np.ndarray, r: int) -> tuple[list[float], list[int]]:
+    """For each row of ``flat``, an r x r score matrix read row by row, in
+    one gather: the largest smallest-assigned score over all permutations,
+    and the row of ``_permutation_table`` of the lex-least permutation
+    reaching it."""
+    worst = flat.take(_permutation_table(r)[1], axis=1).min(axis=2)
     best = worst.argmax(axis=1)  # the first maximum: lex-least on ties
-    return worst[np.arange(count), best].tolist(), best.tolist()
+    return worst[np.arange(len(worst)), best].tolist(), best.tolist()
 
 
 def _max_min(entries: np.ndarray) -> tuple[float, np.ndarray]:
     """The largest smallest-assigned score over all permutations, and the
     lex-least permutation reaching it."""
-    (value,), (best,) = _max_mins([entries])
-    return value, _permutation_table(len(entries))[0][best]
+    r = len(entries)
+    (value,), (best,) = _max_mins(entries.reshape(1, r * r), r)
+    return value, _permutation_table(r)[0][best]
 
 
 def _one_based(perm: np.ndarray) -> tuple[int, ...]:
@@ -488,8 +490,14 @@ def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | N
         found = scored.get(key)
         if found is None:
             evaluations += 1
-            f = _covered_scores(prefs, point).mean(axis=0) - 1.0 / parts
-            found = scored[key] = (f, float(np.abs(f).max()))
+            # the column means as numpy's ``mean(axis=0)`` takes them: rows
+            # added in order, then divided by their count
+            sums = [0.0] * parts
+            for row in _covered_rows(prefs, point):
+                for box, v in enumerate(row):
+                    sums[box] += v
+            f = [total / parts - 1.0 / parts for total in sums]
+            found = scored[key] = (f, max(map(abs, f)))
         return found
 
     def evaluate(cells, weights):
@@ -794,32 +802,38 @@ def brute_force(
     best_point = None
     best_sigma = None
     evaluated = 0
-    chunk = max(1, BRUTE_GATHER // (math.factorial(variant.rows) * variant.rows))
-    points, matrices = [], []
+    r = variant.rows
+    chunk = max(1, BRUTE_GATHER // (math.factorial(r) * r))
+    # the (cut, allocation) of each point of the chunk, and their score
+    # matrices, flat, as raw doubles
+    pending, scores = [], array("d")
 
     def take_best():
         # the first strict maximum of the chunk, in scan order
-        nonlocal best_value, best_point, best_sigma
-        values, firsts = _max_mins(matrices)
-        for point, value, first in zip(points, values, firsts):
+        nonlocal best_value, best_point, best_sigma, scores
+        values, firsts = _max_mins(np.frombuffer(scores).reshape(len(pending), r * r), r)
+        for (cut, alloc), value, first in zip(pending, values, firsts):
             if value > best_value:
-                best_value, best_point = value, point
-                best_sigma = _one_based(_permutation_table(variant.rows)[0][first])
-        points.clear()
-        matrices.clear()
+                best_value, best_point = value, _face_point(variant, cut, alloc)
+                best_sigma = _one_based(_permutation_table(r)[0][first])
+        pending.clear()
+        scores = array("d")
 
+    allocations = {}  # essential tiles -> their canonical allocations
     for cut in _grid_cuts(variant, grid_resolution):
         essential = tuple(
             label for label, length in enumerate(cut.lengths, start=1) if length > DEGENERACY_TOL
         )
-        for alloc in _canonical_allocations(variant, essential):
-            point = _face_point(variant, cut, tuple(alloc.items()))
+        if essential not in allocations:
+            allocations[essential] = [tuple(a.items()) for a in _canonical_allocations(variant, essential)]
+        for alloc in allocations[essential]:
             evaluated += 1
-            points.append(point)
-            matrices.append(_rows(prefs, point))
-            if len(points) == chunk:
+            pending.append((cut, alloc))
+            for row in _rows(prefs, _face_point(variant, cut, alloc)):
+                scores.extend(row)
+            if len(pending) == chunk:
                 take_best()
-    if points:
+    if pending:
         take_best()
 
     return BruteForceResult(

@@ -294,21 +294,22 @@ _RANDOM_GRID = tuple(i / 7.0 for i in range(8))
 
 
 class _LastSeen:
-    """``make(obj)`` for the last object passed, compared by identity.
+    """``make(obj, *args)`` for the last object passed, compared by
+    identity, and the same further arguments.
 
-    The r players query one point in turn, so oracles keep what they share
-    at that point here.  The object is held by a weak reference, so an
-    oracle kept after its solve keeps no point or cut.
+    The r players query one point in turn, so what they share at that point
+    is kept here.  The object is held by a weak reference, so the memo keeps
+    no point or cut alive.
     """
 
     def __init__(self, make: Callable):
         self._make = make
-        self._ref = self._value = None
+        self._ref = self._args = self._value = None
 
-    def __call__(self, obj):
-        if self._ref is None or self._ref() is not obj:
-            self._value = self._make(obj)
-            self._ref = weakref.ref(obj)
+    def __call__(self, obj, *args):
+        if self._ref is None or self._ref() is not obj or self._args != args:
+            self._value = self._make(obj, *args)
+            self._ref, self._args = weakref.ref(obj), args
         return self._value
 
 

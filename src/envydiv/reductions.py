@@ -20,10 +20,12 @@ disagree with itself there, and an impure one is not caught there.  The
 memo of the last cut's reductions is one module-level entry
 (``_reductions``), not a cache per lifted oracle.
 
-The r players query one point in turn, so each lift keeps what they share
-at the last point queried, compared by identity: psi its boxes and first
-degenerate tile, phi its reductions laid onto its boxes.  The point is
-held by a weak reference, so an oracle kept after its solve keeps no cut.
+The r players query one point in turn, so what they share at the last
+point queried is kept once, compared by identity: psi's first degenerate
+tile and boxes (``_PSI_SHAPE``), phi's reductions laid onto the boxes
+(``_PHI_PLACEMENT``).  These are module-level entries too, and hold the
+point by a weak reference, so an oracle kept after its solve keeps
+nothing of its last point.
 
 Where checks run: each lift validates its source on seeded samples once,
 when it is built.  Queries of a lifted oracle check only the tile count of
@@ -171,18 +173,11 @@ def psi(old_prefs: PreferenceMatrix, epsilon: float | None = None) -> ReducedPre
             )
     _check_short_last_tile(old_prefs, epsilon)
 
-    def shape(point):
-        # the first degenerate tile and the boxes
-        z = point.cut.lengths
-        return next((label for label, v in enumerate(z, start=1) if v <= DEGENERACY_TOL), None), point.boxes()
-
-    shape_of = _LastSeen(shape)
-
     def raw(player, point: ConfigPoint):
         if point.cut.tile_count != r:
             raise ValueError(f"expected a point with {r} tiles")
         s = _normalized_source_scores(old_prefs, player, point.cut.lengths)
-        first_deg, boxes = shape_of(point)
+        first_deg, boxes = _PSI_SHAPE(point)
         deg = first_deg is not None
         deg_score = s[first_deg - 1] if deg else 0.0
         out = []
@@ -253,6 +248,38 @@ def _reductions(cut: Cut, keep: str, other: str) -> tuple:
     return primary, (None if mirror == primary else mirror)
 
 
+def _shape(point: ConfigPoint) -> tuple:
+    """What psi reads off a point for every player: its first degenerate
+    tile (None if none) and its boxes."""
+    z = point.cut.lengths
+    return next((label for label, v in enumerate(z, start=1) if v <= DEGENERACY_TOL), None), point.boxes()
+
+
+def _placement(point: ConfigPoint, keep: str, r: int) -> list:
+    """What phi reads off a point for every player: its reductions along
+    ``keep`` and along the other order (None where it is the same), each as
+    the reduced lengths, (box, reduced label) pairs, the empty boxes among
+    the r and the first degenerate reduced label."""
+    other = "right" if keep == "left" else "left"
+    tile_to_box = dict(point.allocation)
+    found = []
+    for reduction in _reductions(point.cut, keep, other):
+        if reduction is not None:
+            lengths, labels, first_degenerate = reduction
+            boxes = [(tile_to_box[full], reduced) for full, reduced in labels]
+            occupied = {box for box, _ in boxes}
+            empty = [b for b in range(1, r + 1) if b not in occupied]
+            reduction = (lengths, boxes, empty, first_degenerate)
+        found.append(reduction)
+    return found
+
+
+#: the last point's view, one entry for every psi lift and one for every phi
+#: lift, as ``_reductions`` keeps one cut, so the lifts hold none of it
+_PSI_SHAPE = _LastSeen(_shape)
+_PHI_PLACEMENT = _LastSeen(_placement)
+
+
 def phi(
     old_prefs: PreferenceMatrix,
     keep: str = "left",
@@ -278,25 +305,6 @@ def phi(
                 f"phi source fails {prop}: {len(report.violations)} violations"
             )
 
-    other = "right" if keep == "left" else "left"
-    def placement(point):
-        """The point's reductions (the mirror where it differs, else None),
-        each as the reduced lengths, (box, reduced label) pairs, the empty
-        boxes and the first degenerate reduced label."""
-        tile_to_box = dict(point.allocation)
-        found = []
-        for reduction in _reductions(point.cut, keep, other):
-            if reduction is not None:
-                lengths, labels, first_degenerate = reduction
-                boxes = [(tile_to_box[full], reduced) for full, reduced in labels]
-                occupied = {box for box, _ in boxes}
-                empty = [b for b in range(1, r + 1) if b not in occupied]
-                reduction = (lengths, boxes, empty, first_degenerate)
-            found.append(reduction)
-        return found
-
-    placed = _LastSeen(placement)
-
     def box_scores(player, reduction):
         lengths, boxes, empty, first_degenerate = reduction
         s = _normalized_source_scores(old_prefs, player, lengths)
@@ -314,7 +322,7 @@ def phi(
     def raw(player, point: ConfigPoint):
         if point.cut.tile_count != 2 * r - 1:
             raise ValueError(f"expected a point with {2 * r - 1} tiles")
-        reduction, mirror_reduction = placed(point)
+        reduction, mirror_reduction = _PHI_PLACEMENT(point, keep, r)
         primary = box_scores(player, reduction)
         if mirror_reduction is None:  # a pure source scores it the same
             return primary

@@ -390,6 +390,8 @@ def _orbit_facets(variant: Variant) -> list[tuple[Cell, ...]]:
 class SearchResult:
     """Best point found, and deterministic counters of the search's work.
 
+    ``evaluations`` counts the points the oracle scored, each (cut,
+    allocation) once however many grids and representatives reach it;
     ``orbit_representatives`` counts the facets searched, one per
     box-relabelling orbit (a failed search scans each on every grid);
     ``denominator`` is the last grid's k; ``pl_zeros`` pairs every k tried

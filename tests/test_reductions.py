@@ -149,10 +149,10 @@ def test_psi_supports_match_case_rules(source_factory):
 
 
 def test_psi_memo_of_the_last_point_scores_as_a_fresh_lift():
-    # psi keeps the first degenerate tile and the boxes of the last point
-    # queried, by identity; points taking turns, and a point equal to the
-    # last but not the same object, score as on a lift whose memo was just
-    # moved to another point
+    # every psi lift shares one memo of the first degenerate tile and the
+    # boxes of the last point queried, by identity; points taking turns, and
+    # a point equal to the last but not the same object, score as they do
+    # right after the memo moved to another point
     rng = np.random.default_rng(23)
     variant = gorbushka_join(3)
     lifted, reference = psi(make_builtin("hungry", 3)), psi(make_builtin("hungry", 3))

@@ -64,10 +64,6 @@ class Cut:
     def lengths(self) -> tuple[float, ...]:
         return _tile_lengths(self.points)
 
-    def tile(self, label: int) -> Interval:
-        bounds = (0.0,) + self.points + (1.0,)
-        return (bounds[label - 1], bounds[label])
-
 
 @dataclass(frozen=True)
 class ZPoint:

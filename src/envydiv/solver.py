@@ -170,21 +170,14 @@ def _permutation_table(r: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, perms + r * np.arange(r)
 
 
-def _assigned_scores(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The permutation table, and the entry each permutation hands each player.
+def _first_above(entries: np.ndarray, threshold: float) -> np.ndarray | None:
+    """Lex-least permutation handing every player more than ``threshold``.
 
-    Row i of both arrays belongs to the i-th permutation in lexicographic
-    order, so the first qualifying row is the lex-least qualifying
-    permutation.
+    Row i of the permutation table is the i-th permutation in lexicographic
+    order, so the first qualifying row is the lex-least one.
     """
     perms, flat = _permutation_table(len(entries))
-    return perms, entries.take(flat)
-
-
-def _first_above(entries: np.ndarray, threshold: float) -> np.ndarray | None:
-    """Lex-least permutation handing every player more than ``threshold``."""
-    perms, assigned = _assigned_scores(entries)
-    ok = (assigned > threshold).all(axis=1)
+    ok = (entries.take(flat) > threshold).all(axis=1)
     first = int(ok.argmax())
     return perms[first] if ok[first] else None
 

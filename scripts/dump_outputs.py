@@ -18,9 +18,9 @@ orders, ``z_to_cut`` of the same tile lengths, and the first 20
 c1 r=5,6, c2 r=4,5, c3 r=5,6 and chessboards 4x3 and 5x2.  Last come the
 results of ``search`` alone (point, residual, convergence, last grid and PL
 zeros per grid, not the evaluation count) on the boards of the benchmark's
-native solves and on c2 r=5, c3 r=5, c1 r=7, c3 r=6 and c2 r=8
-``piecewise_random`` seed 0.  A run that raises prints the exception
-instead.  Run it on two source trees and diff the
+native solves and on c2 r=5, c3 r=5, c1 r=7, c3 r=6, c2 r=8, c2 r=6 and
+c2 r=7 ``piecewise_random`` seed 0.  A run that raises prints the
+exception instead.  Run it on two source trees and diff the
 outputs:
 
     PYTHONPATH=src python scripts/dump_outputs.py > after.txt
@@ -54,7 +54,7 @@ SEARCHED = [
     *(("piecewise_random", space, r, seed, None) for space, r, seed in (
         ("c1", 2, 1), ("c1", 3, 1), ("c1", 4, 1), ("c1", 4, 0), ("c2", 2, 1), ("c2", 3, 1),
         ("c3", 3, 1), ("c3", 4, 1), ("c2", 5, 0), ("c3", 5, 0), ("c1", 7, 0), ("c3", 6, 0),
-        ("c2", 8, 0),
+        ("c2", 8, 0), ("c2", 6, 0), ("c2", 7, 0),
     )),
     *(("hungry", "c1", r, 0, None) for r in (2, 3, 4, 5)),
     ("gorbushka", "c1", 3, 0, {"dte": True}),

@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--coarse-budget",
         type=int,
         default=SearchOptions.coarse_budget,
-        help="evaluations one grid may take; the grid stops doubling beyond it",
+        help="distinct points one grid may score; the grid stops doubling beyond it",
     )
     p_solve.set_defaults(fn=_cmd_solve)
 

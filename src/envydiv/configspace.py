@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import Variant, is_face
@@ -55,14 +54,11 @@ class Cut:
         if pts and (pts[0] < -1e-12 or pts[-1] > 1 + 1e-12):
             raise ValueError(f"cut-points must lie in [0, 1]: {pts}")
         object.__setattr__(self, "points", tuple(_clamp01(p) for p in pts))
+        object.__setattr__(self, "lengths", _tile_lengths(self.points))
 
     @property
     def tile_count(self) -> int:
         return len(self.points) + 1
-
-    @cached_property
-    def lengths(self) -> tuple[float, ...]:
-        return _tile_lengths(self.points)
 
 
 @dataclass(frozen=True)
@@ -202,9 +198,7 @@ def _face_point(variant: Variant, cut: Cut, allocation: tuple[tuple[int, int], .
 
 def _known_points(points: tuple[float, ...]) -> Cut:
     """``Cut`` without its checks, for float cut-points already known to be
-    non-decreasing and in [0, 1], such as a subsequence of a cut's points;
-    its lengths are set at once, where their ``cached_property`` would
-    store them."""
+    non-decreasing and in [0, 1], such as a subsequence of a cut's points."""
     cut = object.__new__(Cut)
     vars(cut).update(points=points, lengths=_tile_lengths(points))
     return cut
@@ -225,7 +219,6 @@ def _known_cut(z: Sequence[float]) -> Cut:
         prev = point
     lengths.append(max(0.0, 1.0 - prev))
     cut = object.__new__(Cut)
-    # ``lengths`` goes where its ``cached_property`` would store it
     vars(cut).update(points=tuple(points), lengths=tuple(lengths))
     return cut
 

@@ -83,9 +83,9 @@ RESIDUAL_TOL = 1e-6
 @dataclass
 class SearchOptions:
     """Knobs for the search, which is deterministic; ``seed`` only seeds the
-    sampled validation in ``solve``.  The grid stops doubling once the next
-    one would take more than ``coarse_budget`` evaluations, and a board whose
-    coarsest grid (k=2) already would is refused before the search starts."""
+    sampled validation in ``solve``.  ``coarse_budget`` caps the distinct
+    points one grid may score: the grid stops doubling before one that holds
+    more, and a board whose k=2 grid does is refused before the search starts."""
 
     tolerance: float = RESIDUAL_TOL
     coarse_budget: int = 200_000
@@ -302,14 +302,26 @@ def _barycentric_grid(parts: int, denominator: int):
         yield tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))
 
 
-def _coarse_denominator(n_facets: int, parts: int, budget: int, preferred: int) -> int:
-    """The largest k from ``preferred`` down to 2 whose grids on all facets
-    fit in ``budget`` evaluations; raises ResourceCapExceeded when none does."""
+def _grid_points(face_sizes: dict[int, int], k: int) -> int:
+    """Distinct points of the k-th grids of the faces ``face_sizes`` counts by
+    size: a face of d cells holds C(k-1, d-1), the compositions of k into d positive parts."""
+    return sum(n * comb(k - 1, d - 1) for d, n in face_sizes.items())
+
+
+def _face_sizes(facets: list[tuple[Cell, ...]]) -> dict[int, int]:
+    """How many distinct faces of each size d the facets, cells in tile order, have."""
+    return {d: len({face for facet in facets for face in itertools.combinations(facet, d)})
+            for d in range(1, len(facets[0]) + 1)}
+
+
+def _coarse_denominator(face_sizes: dict[int, int], budget: int, preferred: int) -> int:
+    """The largest k from ``preferred`` down to 2 whose grid fits in
+    ``budget`` distinct points; raises ResourceCapExceeded when none does."""
     for k in range(preferred, 1, -1):
-        if n_facets * comb(k + parts - 1, parts - 1) <= budget:
+        if _grid_points(face_sizes, k) <= budget:
             return k
     raise ResourceCapExceeded(
-        f"the coarsest grid (k=2) needs {n_facets * comb(parts + 1, 2)} evaluations, "
+        f"the coarsest grid (k=2) needs {_grid_points(face_sizes, 2)} evaluations, "
         f"over the coarse budget of {budget}"
     )
 
@@ -352,6 +364,11 @@ def _pl_zeros(points: np.ndarray, values: np.ndarray, simplices: np.ndarray, chu
     for start in range(0, len(simplices), chunk):
         rows = simplices[start:start + chunk]
         system = np.swapaxes(values[rows], 1, 2)
+        # a zero needs min <= 0 <= max over the vertices in each solved coordinate;
+        # lam >= -1e-12 on at most 8 vertices, |F| < 1, moves a sum by < 8e-12
+        solved = system[:, :-1]
+        near = ((solved.min(axis=2) <= 1e-11) & (solved.max(axis=2) >= -1e-11)).all(axis=1)
+        rows, system = rows[near], system[near]
         system[:, -1, :] = 1.0
         # skip simplices whose interpolation is singular, relative to the
         # scale of F so that fine grids near a zero are not skipped
@@ -455,10 +472,12 @@ def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | N
     piecewise-linear (PL) interpolation of F, whose zeros cost no further
     evaluations.  Simplex-secant steps refine each PL zero in turn.  When
     none reaches the tolerance, k doubles, facets that held PL zeros first,
-    as long as the next grid fits in ``coarse_budget`` evaluations.  Returns
-    at the first point within tolerance; otherwise reports the best point
-    seen with ``converged=False``.  Raises ResourceCapExceeded, before the
-    oracle is first called, when even the k=2 grid exceeds the budget.
+    as long as the next grid holds at most ``coarse_budget`` distinct
+    points, which ``evaluations`` counts.  Returns at the first point within
+    tolerance; otherwise reports the best point seen with ``converged=False``.
+    Raises ResourceCapExceeded, before the oracle is first called, when even
+    the k=2 grid exceeds the budget, which does not bound the PL pass over
+    the k^(r-1) simplices of every representative.
     """
     opts = options or SearchOptions()
     reps = _orbit_facets(variant)
@@ -467,7 +486,8 @@ def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | N
         raise ValueError(
             f"facets of {variant} have {parts} cells; the PL search needs one per box"
         )
-    k = _coarse_denominator(len(reps), parts, opts.coarse_budget, max(4, variant.rows))
+    faces = _face_sizes(reps)
+    k = _coarse_denominator(faces, opts.coarse_budget, max(4, variant.rows))
     evaluations = 0
     best = (math.inf, None, None)  # (residual, facet, barycentric weights)
     pl_zeros: dict[int, int] = {}  # grid denominator -> PL zeros found
@@ -539,7 +559,7 @@ def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | N
                     best = (v, cells, at)
                 if v <= opts.tolerance:
                     return result(True)
-        if len(reps) * comb(2 * k + parts - 1, parts - 1) > opts.coarse_budget:
+        if _grid_points(faces, 2 * k) > opts.coarse_budget:
             return result(False)
         k *= 2
 
@@ -749,15 +769,15 @@ def _grid_cuts(variant: Variant, grid_resolution: int):
 
 
 def _scan_size(variant: Variant, grid_resolution: int) -> int:
-    """The points ``brute_force`` scores, counted without scoring: the
-    essential tiles E (odd columns on a chessboard) of C(g-2, |E|-1) grid
-    cuts, times the canonical allocations of E."""
+    """The points ``brute_force`` scores, counted without scoring: the grid
+    points, k = g - 1, of the faces that canonical allocations of essential
+    tiles (odd columns on a chessboard) span."""
     tiles = range(1, variant.cols + 1, 2 if variant.kind == CHESSBOARD else 1)
-    return sum(
-        comb(grid_resolution - 2, size - 1) * sum(1 for _ in _canonical_allocations(variant, essential))
+    faces = {
+        size: sum(len(list(_canonical_allocations(variant, e))) for e in itertools.combinations(tiles, size))
         for size in range(1, variant.rows + 1)
-        for essential in itertools.combinations(tiles, size)
-    )
+    }
+    return _grid_points(faces, grid_resolution - 1)
 
 
 def brute_force(

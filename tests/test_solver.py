@@ -15,6 +15,7 @@ from envydiv.complexes import (
 )
 from envydiv.configspace import (
     Cut,
+    _barycentric_point,
     _face_point,
     act,
     canonicalize,
@@ -51,10 +52,13 @@ from envydiv.solver import (
 from envydiv.solver import (
     _barycentric_grid,
     _canonical_allocations,
+    _face_sizes,
+    _grid_points,
     _hypothesis_met,
     _is_prime_power,
     _kuhn_simplices,
     _grid_cuts,
+    _normalized_weights,
     _orbit_facets,
     _pl_zeros,
     _scan_size,
@@ -317,6 +321,22 @@ def test_orbit_representatives_meet_every_orbit_once(space, r, reps, facets):
         assert sum(rep in images for rep in rep_sets) == 1
 
 
+@pytest.mark.parametrize("space, r", [(space, r) for space in ("c1", "c2", "c3") for r in (2, 3, 4, 5)])
+def test_grid_points_count_the_distinct_points_of_a_grid(space, r):
+    # the (cut, allocation) keys the search's point memo holds for one grid
+    variant = for_space(space, r)
+    reps = _orbit_facets(variant)
+    faces = _face_sizes(reps)
+    for k in (2, max(4, r), 2 * max(4, r)):
+        keys = set()
+        for counts in _barycentric_grid(r, k):
+            w = _normalized_weights(np.array(counts) / k)
+            for cells in reps:
+                point = _barycentric_point(variant, cells, w)
+                keys.add((point.cut.points, point.allocation))
+        assert _grid_points(faces, k) == len(keys), k
+
+
 def test_pl_zero_of_an_affine_map_is_its_zero():
     # an affine F is its own PL interpolation; the second target lies on
     # faces shared by several small simplices and is still reported once
@@ -417,8 +437,9 @@ def test_solve_leaves_an_unbound_oracle_unbound():
 
 
 def test_solve_reports_budget_exhaustion():
-    # a budget of 100 evaluations admits only the k=4 grid (3 facets x 15
-    # points); its one PL zero refines to a residual of about 4e-3 only
+    # a budget of 100 evaluations admits only the k=4 grid (35 distinct
+    # points; k=8 would need 117); its one PL zero refines to a residual of
+    # about 4e-3 only
     variant = gorbushka_join(3)
     prefs = make_builtin("piecewise_random", 3, kind="new", variant=variant, seed=3)
     with pytest.raises(BudgetExhausted) as err:
@@ -448,6 +469,16 @@ def test_solve_c1_r5_random_seed_2():
     # this oracle once exhausted a budget of 744,950 oracle calls
     variant = gorbushka_join(5)
     prefs = make_builtin("piecewise_random", 5, kind="new", variant=variant, seed=2)
+    division = solve(variant, prefs)
+    assert division.residual <= 1e-6
+    assert verify_division(division, prefs)
+
+
+def test_solve_c2_r8_random_seed_0():
+    # the largest chessboard solve admits; 8 is a prime power, so a division
+    # exists, and the k=5 grid (181,168 distinct points) fits the default budget
+    variant = for_space("c2", 8)
+    prefs = make_builtin("piecewise_random", 8, kind="new", variant=variant, seed=0)
     division = solve(variant, prefs)
     assert division.residual <= 1e-6
     assert verify_division(division, prefs)
@@ -657,7 +688,8 @@ def test_larger_coarse_budget_never_worsens_residual():
     prefs = make_builtin("piecewise_random", 3, kind="new", variant=variant, seed=3)
     residuals = [
         search(variant, prefs, SearchOptions(coarse_budget=budget)).residual
-        for budget in (45, 135, 459, 200_000)
+        # the exact edges of the k = 4, 8 and 16 grids
+        for budget in (35, 117, 425, 200_000)
     ]
     assert all(b <= a for a, b in zip(residuals, residuals[1:]))
     assert residuals[-1] <= 1e-6 < residuals[0]
@@ -859,9 +891,10 @@ def test_solve_caps_players_before_the_oracle_is_called():
 def test_search_refuses_a_coarsest_grid_over_budget_before_the_oracle_is_called():
     variant = for_space("c2", 8)
     prefs, calls = _counted(make_builtin("piecewise_random", 8, kind="new", variant=variant))
-    # 6,435 orbit representatives times the 36 points of the k=2 grid
-    with pytest.raises(ResourceCapExceeded, match="needs 231660 evaluations"):
-        search(variant, prefs)
+    # the k=2 grid holds the 64 cells and the 1,008 distinct edges of the
+    # 6,435 orbit representatives, a point each
+    with pytest.raises(ResourceCapExceeded, match="needs 1072 evaluations"):
+        search(variant, prefs, SearchOptions(coarse_budget=1071))
     assert calls[0] == 0
 
 
@@ -874,9 +907,9 @@ def test_sampling_and_search_set_up_need_no_facet_list(monkeypatch):
     prefs = make_builtin("piecewise_random", 7, kind="new", variant=variant)
     for prop in ("covering", "equivariance"):
         assert validate(prefs, prop, sample_count=200).passed
-    # 877 orbit representatives times the 28 points of the k=2 grid
-    with pytest.raises(ResourceCapExceeded, match="needs 24556 evaluations"):
-        search(variant, prefs, SearchOptions(coarse_budget=24_555))
+    # the 28 cells and 287 distinct edges of the 877 orbit representatives
+    with pytest.raises(ResourceCapExceeded, match="needs 315 evaluations"):
+        search(variant, prefs, SearchOptions(coarse_budget=314))
 
 
 def test_solve_and_brute_force_make_a_fixed_number_of_oracle_calls():

@@ -360,15 +360,16 @@ def _pl_zeros(points: np.ndarray, values: np.ndarray, simplices: np.ndarray, chu
     zeros in simplex order, each once, in the coordinates of ``points``.
     """
     parts = values.shape[1]
-    found = []
-    for start in range(0, len(simplices), chunk):
-        rows = simplices[start:start + chunk]
+    # a zero needs min <= 0 <= max over the vertices in each solved coordinate;
+    # lam >= -1e-12 on at most 8 vertices, |F| < 1, moves a sum by < 8e-12.
+    # A point's mask has bit c set if F_c <= 1e-11, bit c + parts - 1 if F_c >= -1e-11
+    signs = np.concatenate([values[:, :-1] <= 1e-11, values[:, :-1] >= -1e-11], axis=1)
+    mask = signs @ (1 << np.arange(signs.shape[1]))
+    near = simplices[np.bitwise_or.reduce(mask[simplices], axis=1) == (1 << signs.shape[1]) - 1]
+    found = [points[:0]]
+    for start in range(0, len(near), chunk):
+        rows = near[start:start + chunk]
         system = np.swapaxes(values[rows], 1, 2)
-        # a zero needs min <= 0 <= max over the vertices in each solved coordinate;
-        # lam >= -1e-12 on at most 8 vertices, |F| < 1, moves a sum by < 8e-12
-        solved = system[:, :-1]
-        near = ((solved.min(axis=2) <= 1e-11) & (solved.max(axis=2) >= -1e-11)).all(axis=1)
-        rows, system = rows[near], system[near]
         system[:, -1, :] = 1.0
         # skip simplices whose interpolation is singular, relative to the
         # scale of F so that fine grids near a zero are not skipped
@@ -473,11 +474,11 @@ def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | N
     evaluations.  Simplex-secant steps refine each PL zero in turn.  When
     none reaches the tolerance, k doubles, facets that held PL zeros first,
     as long as the next grid holds at most ``coarse_budget`` distinct
-    points, which ``evaluations`` counts.  Returns at the first point within
-    tolerance; otherwise reports the best point seen with ``converged=False``.
-    Raises ResourceCapExceeded, before the oracle is first called, when even
-    the k=2 grid exceeds the budget, which does not bound the PL pass over
-    the k^(r-1) simplices of every representative.
+    points.  Returns at the first point within tolerance; otherwise reports
+    the best point seen with ``converged=False``.  Raises ResourceCapExceeded,
+    before the oracle is first called, when even the k=2 grid exceeds the
+    budget, which bounds neither the secant steps' points (``evaluations``
+    counts them too) nor each representative's PL pass and memo lookups.
     """
     opts = options or SearchOptions()
     reps = _orbit_facets(variant)

@@ -339,13 +339,14 @@ def test_grid_points_count_the_distinct_points_of_a_grid(space, r):
 
 def test_pl_zero_of_an_affine_map_is_its_zero():
     # an affine F is its own PL interpolation; the second target lies on
-    # faces shared by several small simplices and is still reported once
+    # faces shared by several small simplices and is still reported once;
+    # the third is a grid point, where F is exactly zero at a vertex
     points = np.array(list(_barycentric_grid(3, 4))) / 4
     index = {tuple(p): i for i, p in enumerate(np.round(points * 4).astype(int))}
     simplices = np.array(
         [[index[tuple(v)] for v in s] for s in np.concatenate(list(_kuhn_simplices(3, 4)))]
     )
-    for target in ([0.21, 0.33, 0.46], [0.2, 0.3, 0.5]):
+    for target in ([0.21, 0.33, 0.46], [0.2, 0.3, 0.5], [0.25, 0.25, 0.5]):
         zeros = _pl_zeros(points, points - np.array(target), simplices, chunk=5)
         assert len(zeros) == 1
         assert np.allclose(zeros[0], target)

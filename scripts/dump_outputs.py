@@ -19,8 +19,10 @@ c1 r=5,6, c2 r=4,5, c3 r=5,6 and chessboards 4x3 and 5x2.  Last come the
 results of ``search`` alone (point, residual, convergence, last grid and PL
 zeros per grid, not the evaluation count) on the boards of the benchmark's
 native solves and on c2 r=5, c3 r=5, c1 r=7, c3 r=6, c2 r=8, c2 r=6 and
-c2 r=7 ``piecewise_random`` seed 0.  A run that raises prints the
-exception instead.  Run it on two source trees and diff the
+c2 r=7 ``piecewise_random`` seed 0, and then the reduced homology and
+face counts of the benchmark's topology boards, of chessboards 4x7, 5x6
+and 5x7, and of ``gorbushka_join(5)`` and ``join_power(5)``.  A run that
+raises prints the exception instead.  Run it on two source trees and diff the
 outputs:
 
     PYTHONPATH=src python scripts/dump_outputs.py > after.txt
@@ -59,6 +61,13 @@ SEARCHED = [
     *(("hungry", "c1", r, 0, None) for r in (2, 3, 4, 5)),
     ("gorbushka", "c1", 3, 0, {"dte": True}),
     ("burnt", "c3", 3, 0, None),
+]
+#: (rule, rows, columns) of the ``topology`` lines
+TOPOLOGY = [
+    ("gorbushka_join", 3, 3), ("chessboard", 4, 3), ("chessboard", 3, 5), ("chessboard", 4, 4),
+    ("gorbushka_join", 4, 4), ("chessboard", 4, 5), ("join_power", 4, 4), ("chessboard", 4, 6),
+    ("chessboard", 5, 5), ("chessboard", 4, 7), ("chessboard", 5, 6), ("chessboard", 5, 7),
+    ("gorbushka_join", 5, 5), ("join_power", 5, 5),
 ]
 VALIDATED = ("covering", "equivariance", "continuity")
 VALIDATED_OLD = ("covering", "p_dte", "p_pe")
@@ -177,6 +186,16 @@ def _dump_searches() -> None:
         print(f"search {space} r={r} {model} seed={seed} {_value(run)}")
 
 
+def _dump_topology() -> None:
+    for kind, rows, cols in TOPOLOGY:
+        cx = complexes.build_complex(complexes.Variant(kind, rows, cols))
+
+        def run():
+            return {**complexes.reduced_homology(cx).to_json(), "face_counts": list(cx.face_counts())}
+
+        print(f"topology {kind} {rows}x{cols} {_value(run)}")
+
+
 def _psi_source(r, seed):
     """Tables that score nothing up to LIFT_EPSILON, as psi requires."""
     rng = np.random.default_rng(seed)
@@ -246,6 +265,7 @@ def main() -> None:
             print(f"solve psi(tables) c1 r={r} seed={seed} {_lifted_solve(psi, 'c1', r, psi_source)}")
             print(f"solve phi(tables) c2 r={r} seed={seed} {_lifted_solve(reductions.phi, 'c2', r, phi_source)}")
     _dump_searches()
+    _dump_topology()
 
 
 if __name__ == "__main__":

@@ -325,12 +325,15 @@ def boundary_matrix(cx: SimplicialComplex, dim: int) -> list[dict[int, int]]:
 def sparse_invariants(columns: list[dict[int, int]], max_block: int = MAX_SIMPLICES) -> list[int]:
     """Nonzero invariant factors of a sparse integer matrix given by columns.
 
-    Eliminates on unit (+-1) pivots while any remain, each time taking the
-    one of lowest Markowitz cost (column nonzeros - 1) x (row nonzeros - 1);
-    every such pivot contributes an invariant factor 1.  The block left
-    without unit entries goes to :func:`smith_invariants`.  Invariant
-    factors are unique, so the result equals ``smith_invariants`` of the
-    dense matrix.  Raises ResourceCapExceeded, before allocating it, when
+    Eliminates on unit (+-1) pivots while any remain; every such pivot
+    contributes an invariant factor 1.  Pivots come off a heap keyed by
+    Markowitz cost (column nonzeros - 1) x (row nonzeros - 1), with one
+    push rule: a unit entry is pushed when it becomes a unit, at the start
+    or by a column operation, and again only when its item surfaces with a
+    cost that has since changed.  The block left without unit entries goes
+    to :func:`smith_invariants`.  Invariant factors are unique, so the
+    result equals ``smith_invariants`` of the dense matrix whatever the
+    pivot order.  Raises ResourceCapExceeded, before allocating it, when
     that block has more than ``max_block`` entries.
     """
     cols = {j: dict(col) for j, col in enumerate(columns) if col}
@@ -339,27 +342,26 @@ def sparse_invariants(columns: list[dict[int, int]], max_block: int = MAX_SIMPLI
         for i in col:
             rows.setdefault(i, set()).add(j)
 
-    # Every unit entry keeps a heap item carrying its current cost: an item
-    # is pushed whenever the cost may have dropped, and one whose cost rose
-    # is pushed again when it surfaces.
-    heap: list[tuple[int, int, int]] = []
-
-    def push(i: int, j: int) -> None:
-        if cols[j][i] in (1, -1):
-            heapq.heappush(heap, ((len(cols[j]) - 1) * (len(rows[i]) - 1), i, j))
-
-    for j, col in cols.items():
-        for i in col:
-            push(i, j)
+    # A unit entry gets one heap item when it becomes a unit, keyed by its
+    # cost at that moment.  An item that surfaces is dropped if its entry is
+    # gone or no longer a unit, and pushed again if its cost has changed, so
+    # the heap never holds more items than entries have become units.
+    heap = [
+        ((len(col) - 1) * (len(rows[i]) - 1), i, j)
+        for j, col in cols.items()
+        for i, v in col.items()
+        if v in (1, -1)
+    ]
+    heapq.heapify(heap)
 
     units = 0
     while heap:
-        cost, i, j = heapq.heappop(heap)
+        key, i, j = heapq.heappop(heap)
         pivot_col = cols.get(j)
         if pivot_col is None or pivot_col.get(i) not in (1, -1):
             continue
         current = (len(pivot_col) - 1) * (len(rows[i]) - 1)
-        if current != cost:
+        if current != key:
             heapq.heappush(heap, (current, i, j))
             continue
 
@@ -367,38 +369,29 @@ def sparse_invariants(columns: list[dict[int, int]], max_block: int = MAX_SIMPLI
         units += 1
         del cols[j]
         sign = pivot_col.pop(i)
-        row_sizes = {r: len(rows[r]) for r in pivot_col}
         for r in pivot_col:
             rows[r].discard(j)
         updated = rows.pop(i)
         updated.discard(j)
         for k in updated:
             target = cols[k]
-            size = len(target)
             factor = target.pop(i) * sign
             for r, v in pivot_col.items():
-                value = target.get(r, 0) - factor * v
+                old = target.get(r, 0)
+                value = old - factor * v
                 if value:
                     target[r] = value
                     rows[r].add(k)
+                    if value in (1, -1) and old not in (1, -1):
+                        heapq.heappush(heap, ((len(target) - 1) * (len(rows[r]) - 1), r, k))
                 else:
                     del target[r]
                     rows[r].discard(k)
             if not target:
                 del cols[k]
-            elif len(target) < size:
-                for r in target:
-                    push(r, k)
-            else:
-                for r in pivot_col:
-                    if r in target:
-                        push(r, k)
-        for r, size in row_sizes.items():
+        for r in pivot_col:
             if not rows[r]:
                 del rows[r]
-            elif len(rows[r]) < size:
-                for k in rows[r]:
-                    push(r, k)
 
     if not cols:
         return [1] * units

@@ -163,6 +163,19 @@ def test_topology_missing_dimensions_exits_4(capsys):
     assert code == 4
 
 
+def test_topology_join_power(capsys):
+    code, out = run(capsys, ["topology", "--complex", "join-power", "--r", "3"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["variant"] == {"kind": "join_power", "rows": 3, "cols": 3}
+    assert payload["betti"] == [0, 0, 8]  # the join of three 3-point sets
+
+
+def test_topology_gorbushka_join_without_r_exits_4(capsys):
+    code, _ = run(capsys, ["topology", "--complex", "gorbushka-join"])
+    assert code == 4
+
+
 def test_brute_certificate(capsys, tmp_path):
     prefs = write_prefs(
         tmp_path,

@@ -193,6 +193,12 @@ def test_sparse_invariants_cap_bounds_the_leftover_dense_block():
     assert sparse_invariants(twice_identity, max_block=400) == [2] * 20
 
 
+def test_sparse_invariants_pivot_on_units_made_by_elimination():
+    # pivoting on either 1 in row 0 turns the other column's row-1 entry
+    # into +-1, which must be pivoted too rather than left as a dense block
+    assert sparse_invariants([{0: 1, 1: 2}, {0: 1, 1: 3}], max_block=0) == [1, 1]
+
+
 def test_homology_hexagon():
     report = reduced_homology(build_complex(chessboard(3, 2)))
     assert report.betti == (0, 1)
@@ -239,7 +245,7 @@ def test_homology_resource_cap():
 
 @pytest.mark.parametrize(
     "m, n",
-    [(m, n) for m in range(2, 6) for n in range(2, 6)] + [(4, 6), (4, 7)],
+    [(m, n) for m in range(2, 6) for n in range(2, 6)] + [(4, 6), (4, 7), (5, 6), (5, 7)],
 )
 def test_chessboard_homology_vanishes_below_connectivity_bound(m, n):
     # Bjorner-Lovasz-Vrecica-Zivaljevic: the m x n chessboard complex is

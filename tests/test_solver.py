@@ -512,6 +512,24 @@ def test_hypothesis_helpers():
     assert _hypothesis_met(join_power(9))
 
 
+def test_solve_warns_outside_the_guarantee_and_still_searches(caplog):
+    # c1 guarantees a division only for r prime or 4
+    variant = gorbushka_join(6)
+    prefs = make_builtin("hungry", 6, kind="new", variant=variant)
+    with caplog.at_level("WARNING", logger="envydiv.solver"):
+        division = solve(variant, prefs)
+    assert "r=6 is outside the existence guarantee" in caplog.text
+    assert verify_division(division, prefs)
+
+
+def test_solve_does_not_warn_inside_the_guarantee(caplog):
+    variant = gorbushka_join(5)
+    prefs = make_builtin("hungry", 5, kind="new", variant=variant)
+    with caplog.at_level("WARNING", logger="envydiv.solver"):
+        solve(variant, prefs)
+    assert "existence guarantee" not in caplog.text
+
+
 def test_verify_division_detects_zero_scores():
     variant = gorbushka_join(2)
     prefs = make_builtin("hungry", 2, kind="new", variant=variant)

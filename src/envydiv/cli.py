@@ -1,9 +1,10 @@
 """Command-line driver: solve, brute-force, validate, topology, demos.
 
 JSON goes to stdout, progress and warnings to stderr.  Exit codes: 0
-success, 2 search budget exhausted, 3 validation or expectation failure,
-4 bad input, 5 resource cap.  All randomness flows from --seed, so a
-repeated invocation with the same flags produces byte-identical output.
+success, 2 search budget exhausted, 3 validation, matching or expectation
+failure, 4 bad input, usage errors included, 5 resource cap.  All
+randomness flows from --seed, so a repeated invocation with the same flags
+produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 from . import complexes, preferences, reductions, solver
 from .complexes import ResourceCapExceeded
 from .preferences import PreferenceValidationError
-from .solver import BudgetExhausted, SearchOptions
+from .solver import BudgetExhausted, MatchingError, SearchOptions
 
 EXIT_OK = 0
 EXIT_BUDGET = 2
@@ -195,16 +196,22 @@ _DEMOS = {
 
 
 def _cmd_demo(args) -> tuple[dict, int]:
-    if args.name not in _DEMOS:
-        raise ValueError(f"unknown demo {args.name!r}")
     fn, default_r = _DEMOS[args.name]
     r = args.r if args.r is not None else default_r
     payload = fn(r, args.seed)
     return payload, EXIT_OK if payload["pass"] else EXIT_VALIDATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, which ``main`` reports as bad input (exit 4),
+    instead of exiting with argparse's 2, the budget-exhausted code."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="envydiv",
         description="Envy-free division of the unit interval, with degenerate-piece-tolerant preferences.",
     )
@@ -266,13 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    args = None
     try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            stream=sys.stderr,
+            level=logging.DEBUG if args.verbose else logging.INFO,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         payload, code = args.fn(args)
     except BudgetExhausted as exc:
         payload = {"budget_exhausted": True, "message": str(exc)}
@@ -288,10 +296,13 @@ def main(argv=None) -> int:
     except PreferenceValidationError as exc:
         _emit({"validation_failed": True, "message": str(exc)}, getattr(args, "out", None))
         return EXIT_VALIDATION
+    except MatchingError as exc:
+        _emit({"matching_failed": True, "message": str(exc)}, getattr(args, "out", None))
+        return EXIT_VALIDATION
     except ResourceCapExceeded as exc:
         _emit({"resource_cap": True, "message": str(exc)}, getattr(args, "out", None))
         return EXIT_RESOURCE
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, KeyError, OSError, TypeError) as exc:
         logger.error("%s", exc)
         _emit({"input_error": True, "message": str(exc)}, getattr(args, "out", None))
         return EXIT_INPUT

@@ -49,9 +49,10 @@ class Cut:
 
     def __post_init__(self):
         pts = tuple(float(p) for p in self.points)
-        if any(b < a for a, b in zip(pts, pts[1:])):
+        # each check states what valid input meets, so a NaN fails it
+        if not all(a <= b for a, b in zip(pts, pts[1:])):
             raise ValueError(f"cut-points must be non-decreasing: {pts}")
-        if pts and (pts[0] < -1e-12 or pts[-1] > 1 + 1e-12):
+        if pts and not (-1e-12 <= pts[0] and pts[-1] <= 1 + 1e-12):
             raise ValueError(f"cut-points must lie in [0, 1]: {pts}")
         object.__setattr__(self, "points", tuple(_clamp01(p) for p in pts))
         object.__setattr__(self, "lengths", _tile_lengths(self.points))
@@ -69,10 +70,10 @@ class ZPoint:
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.lengths)
-        if any(v < -1e-12 for v in vals):
+        if not all(v >= -1e-12 for v in vals):
             raise ValueError(f"tile lengths must be non-negative: {vals}")
         total = math.fsum(vals)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"tile lengths must sum to 1, got {total}")
         object.__setattr__(self, "lengths", tuple(max(0.0, v) for v in vals))
 
@@ -250,10 +251,10 @@ def point_from_barycentric(
     if not is_face(variant, cells):
         raise ValueError(f"placement {cells} is not a face of {variant.kind}")
     w = [float(x) for x in weights]
-    if any(x < -1e-12 for x in w):
+    if not all(x >= -1e-12 for x in w):
         raise ValueError(f"weights must be non-negative: {w}")
     total = math.fsum(w)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"weights must sum to 1, got {total}")
     return _barycentric_point(variant, tuple((int(i), int(j)) for i, j in cells), w)
 

@@ -34,7 +34,10 @@ cuts on faces they already know without the checks.
 
 Oracles must be pure and deterministic per (player, point): the solver
 evaluates them one at a time, in one thread, and reuses the averages it
-computed at a grid point instead of asking again.  Validation is
+computed at a grid point instead of asking again.  The r players query
+one point in turn, so a new-style ``piecewise_random`` oracle keeps its box
+scores at the last cut in a ``functools.lru_cache(maxsize=1)`` keyed by
+value: it holds that one ``Cut``, and never more.  Validation is
 statistical (seeded sampling) and can only falsify a property, never prove
 it; in particular closedness of preferred sets has no finite certificate
 for a black-box oracle, so the ``continuity`` check is a documented
@@ -51,9 +54,9 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -268,9 +271,9 @@ class _PiecewiseTable:
     def __init__(self, xs: Sequence[float], ys: Sequence[float]):
         if len(xs) != len(ys) or len(xs) < 2:
             raise ValueError("need matching x/y breakpoint lists of length >= 2")
-        if list(xs) != sorted(xs) or xs[0] != 0.0 or xs[-1] != 1.0:
+        if not (xs[0] == 0.0 and xs[-1] == 1.0 and all(a <= b for a, b in zip(xs, xs[1:]))):
             raise ValueError("breakpoints must be sorted and span [0, 1]")
-        if any(y < 0 for y in ys):
+        if not all(y >= 0 for y in ys):
             raise ValueError("piecewise values must be non-negative")
         self.xs = tuple(float(x) for x in xs)
         self.ys = tuple(float(y) for y in ys)
@@ -291,26 +294,6 @@ class _PiecewiseTable:
 
 
 _RANDOM_GRID = tuple(i / 7.0 for i in range(8))
-
-
-class _LastSeen:
-    """``make(obj, *args)`` for the last object passed, compared by
-    identity, and the same further arguments.
-
-    The r players query one point in turn, so what they share at that point
-    is kept here.  The object is held by a weak reference, so the memo keeps
-    no point or cut alive.
-    """
-
-    def __init__(self, make: Callable):
-        self._make = make
-        self._ref = self._args = self._value = None
-
-    def __call__(self, obj, *args):
-        if self._ref is None or self._ref() is not obj or self._args != args:
-            self._value = self._make(obj, *args)
-            self._ref, self._args = weakref.ref(obj), args
-        return self._value
 
 
 def _random_tables(rng, count, pin_zero):
@@ -350,8 +333,10 @@ def _piecewise_random_new(r, n_tiles, seed):
 
     # each player's box scores at the last cut, by the tiles a box holds,
     # which is all a box's score depends on: relabellings and other
-    # allocations of one cut share its ``Cut``
-    scored_at = _LastSeen(lambda cut: [{} for _ in range(r)])
+    # allocations of one cut share it
+    @lru_cache(maxsize=1)  # the r players query one point in turn
+    def scored_at(cut: Cut) -> list[dict]:
+        return [{} for _ in range(r)]
 
     def raw(player, point: ConfigPoint):
         cut = point.cut

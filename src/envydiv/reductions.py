@@ -16,16 +16,17 @@ for all r players.  Where the two orders give different reduced cuts, a
 query scores both and reports any disagreement as a partition-equivalence
 violation of the source.  Where they give the same reduced cut, a query
 scores it once: a pure source (as ``preferences`` requires) cannot
-disagree with itself there, and an impure one is not caught there.  The
-memo of the last cut's reductions is one module-level entry
-(``_reductions``), not a cache per lifted oracle.
+disagree with itself there, and an impure one is not caught there.
 
 The r players query one point in turn, so what they share at the last
-point queried is kept once, compared by identity: psi's first degenerate
-tile and boxes (``_PSI_SHAPE``), phi's reductions laid onto the boxes
-(``_PHI_PLACEMENT``).  These are module-level entries too, and hold the
-point by a weak reference, so an oracle kept after its solve keeps
-nothing of its last point.
+point queried is kept once, by a ``functools.lru_cache(maxsize=1)`` keyed
+by value: the last cut's reductions (``_reductions``), psi's first
+degenerate tile and boxes (``_shape``) and phi's reductions laid onto the
+boxes (``_placement``).  An equal point rebuilt elsewhere has the same
+lengths, so a hit gives what recomputing would.  Each memo is one
+module-level entry shared by every lift, holding its last point or cut
+until the next query, not a cache per lifted oracle, so the lifted
+oracles, which the caller may keep, reach no cut or point.
 
 Where checks run: each lift validates its source on seeded samples once,
 when it is built.  Queries of a lifted oracle check only the tile count of
@@ -58,7 +59,6 @@ from .preferences import (
     PREFERENCE_TOL,
     PreferenceMatrix,
     PreferenceValidationError,
-    _LastSeen,
     _row,
     _rows,
     _uniform_simplex,
@@ -162,7 +162,7 @@ def psi(old_prefs: PreferenceMatrix, epsilon: float | None = None) -> ReducedPre
             epsilon = float(old_prefs.params.get("margin", 1e-3))
         else:
             raise ValueError("psi needs an explicit epsilon for this model")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
 
     for prop in ("covering", "p_dte"):
@@ -177,7 +177,7 @@ def psi(old_prefs: PreferenceMatrix, epsilon: float | None = None) -> ReducedPre
         if point.cut.tile_count != r:
             raise ValueError(f"expected a point with {r} tiles")
         s = _normalized_source_scores(old_prefs, player, point.cut.lengths)
-        first_deg, boxes = _PSI_SHAPE(point)
+        first_deg, boxes = _shape(point)
         deg = first_deg is not None
         deg_score = s[first_deg - 1] if deg else 0.0
         out = []
@@ -231,12 +231,7 @@ def _reductions(cut: Cut, keep: str, other: str) -> tuple:
     """The reduction along ``keep``, and the one along ``other`` where it
     differs (None where it is the same).  A reduction is the reduced
     lengths, the (full, reduced) labels of the k-th essential tile, k = 1,
-    2, ..., and the first degenerate reduced label.
-
-    One entry for every phi lift, so the lifted oracles, which the caller
-    may keep, hold no cut; lifts that share the cut and deletion orders share
-    the entry.
-    """
+    2, ..., and the first degenerate reduced label."""
     _, ess_full = degenerate_and_essential(cut)
     found = []
     for which in (keep, other):
@@ -248,6 +243,7 @@ def _reductions(cut: Cut, keep: str, other: str) -> tuple:
     return primary, (None if mirror == primary else mirror)
 
 
+@lru_cache(maxsize=1)
 def _shape(point: ConfigPoint) -> tuple:
     """What psi reads off a point for every player: its first degenerate
     tile (None if none) and its boxes."""
@@ -255,6 +251,7 @@ def _shape(point: ConfigPoint) -> tuple:
     return next((label for label, v in enumerate(z, start=1) if v <= DEGENERACY_TOL), None), point.boxes()
 
 
+@lru_cache(maxsize=1)
 def _placement(point: ConfigPoint, keep: str, r: int) -> list:
     """What phi reads off a point for every player: its reductions along
     ``keep`` and along the other order (None where it is the same), each as
@@ -272,12 +269,6 @@ def _placement(point: ConfigPoint, keep: str, r: int) -> list:
             reduction = (lengths, boxes, empty, first_degenerate)
         found.append(reduction)
     return found
-
-
-#: the last point's view, one entry for every psi lift and one for every phi
-#: lift, as ``_reductions`` keeps one cut, so the lifts hold none of it
-_PSI_SHAPE = _LastSeen(_shape)
-_PHI_PLACEMENT = _LastSeen(_placement)
 
 
 def phi(
@@ -322,7 +313,7 @@ def phi(
     def raw(player, point: ConfigPoint):
         if point.cut.tile_count != 2 * r - 1:
             raise ValueError(f"expected a point with {2 * r - 1} tiles")
-        reduction, mirror_reduction = _PHI_PLACEMENT(point, keep, r)
+        reduction, mirror_reduction = _placement(point, keep, r)
         primary = box_scores(player, reduction)
         if mirror_reduction is None:  # a pure source scores it the same
             return primary

@@ -107,10 +107,11 @@ class StochasticMatrix:
         e = np.asarray(self.entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {e.shape}")
-        if (e < -1e-12).any():
+        # each check states what valid entries meet, so a NaN fails it
+        if not (e >= -1e-12).all():
             raise ValueError("matrix entries must be non-negative")
         rows = e.sum(axis=1)
-        if np.abs(rows - 1.0).max() > 1e-9:
+        if not np.abs(rows - 1.0).max() <= 1e-9:
             raise ValueError(f"rows must sum to 1, got sums {rows}")
         object.__setattr__(self, "entries", e)
 
@@ -481,6 +482,8 @@ def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | N
     counts them too) nor each representative's PL pass and memo lookups.
     """
     opts = options or SearchOptions()
+    if math.isnan(opts.tolerance):  # no residual meets it, so the search could only run out
+        raise ValueError("tolerance must be a number, got nan")
     reps = _orbit_facets(variant)
     parts = len(reps[0])
     if parts != variant.rows:

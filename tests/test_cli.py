@@ -98,6 +98,48 @@ def test_solve_budget_exhaustion_exits_2(capsys, tmp_path):
     assert payload["evaluations"] > 0
 
 
+@pytest.mark.parametrize(
+    "space, tol",
+    [("c1", "0.5"), ("c1", "inf"), ("c2", "inf"), ("c3", "inf")],
+)
+def test_solve_without_an_acceptable_assignment_exits_3(capsys, hungry_new, space, tol):
+    # a loose tolerance ends the search at a point where no assignment
+    # hands every player a box they prefer
+    code, out = run(capsys, ["solve", "--r", "3", "--space", space, "--prefs", hungry_new, "--tol", tol])
+    assert code == 3
+    assert json.loads(out)["matching_failed"]
+
+
+def test_nan_tolerance_exits_4(capsys, hungry_new):
+    code, out = run(capsys, ["solve", "--r", "3", "--space", "c1", "--prefs", hungry_new, "--tol", "nan"])
+    assert code == 4
+    assert json.loads(out)["input_error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["demo", "nosuch"],
+        ["solve", "--r", "3", "--space", "c9", "--prefs", "p.json"],
+        ["solve", "--r", "x", "--space", "c1", "--prefs", "p.json"],
+        ["solve", "--r", "3", "--space", "c1"],
+    ],
+    ids=["no-command", "demo", "space", "r", "prefs"],
+)
+def test_usage_errors_exit_4(capsys, argv):
+    # argparse's own exit code, 2, means an exhausted budget here
+    code, out = run(capsys, argv)
+    assert code == 4
+    assert json.loads(out)["input_error"]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+
+
 def test_malformed_json_exits_4(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

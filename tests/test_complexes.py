@@ -121,6 +121,8 @@ def test_is_face_examples():
     assert is_face(chessboard(3, 2), [(1, 1), (2, 2)])
     assert is_face(gorbushka_join(3), [(1, 1), (1, 3)])
     assert not is_face(gorbushka_join(3), [(1, 1), (1, 2)])
+    # one row may hold two tiles, one of them the last; a second row may not
+    assert not is_face(gorbushka_join(4), [(1, 1), (1, 4), (2, 2), (2, 3)])
     assert is_face(join_power(3), [(1, 1), (1, 2), (1, 3)])
     assert not is_face(join_power(3), [(1, 1), (2, 1)])
     with pytest.raises(ValueError):

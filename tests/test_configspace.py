@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,10 @@ def test_cut_validation():
         Cut((-0.2, 0.4))
     with pytest.raises(ValueError):
         Cut((0.5, 1.2))
+    # every check states what valid input meets, so a NaN fails it
+    for points in ((math.nan,), (0.2, math.nan, 0.5), (0.2, 0.5, math.nan)):
+        with pytest.raises(ValueError):
+            Cut(points)
     assert Cut(()).tile_count == 1
 
 
@@ -71,6 +77,8 @@ def test_zpoint_rejects_bad_input():
         ZPoint((0.5, 0.6))
     with pytest.raises(ValueError):
         ZPoint((-0.2, 1.2))
+    with pytest.raises(ValueError, match="non-negative"):
+        ZPoint((math.nan, 1.0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -225,6 +233,8 @@ def test_point_from_barycentric_rejects_bad_input():
         point_from_barycentric(gorbushka_join(3), [(1, 1), (2, 2)], (0.9, 0.9))
     with pytest.raises(ValueError, match="non-negative"):
         point_from_barycentric(gorbushka_join(3), [(1, 1), (2, 2)], (1.5, -0.5))
+    with pytest.raises(ValueError, match="non-negative"):
+        point_from_barycentric(gorbushka_join(2), [(1, 1), (2, 2)], (math.nan, 1.0))
 
 
 def test_config_point_rejects_wrong_tile_count():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from envydiv.complexes import for_space, gorbushka_join
-from envydiv.configspace import Cut, _face_point, act, canonicalize, point_from_barycentric
+from envydiv.configspace import DEGENERACY_TOL, Cut, _face_point, act, canonicalize, point_from_barycentric
 from envydiv.preferences import (
     BUILTIN_MODELS,
     NEW,
@@ -171,6 +171,18 @@ def test_validate_p_pe():
     assert not report.passed
 
 
+def test_validate_p_pe_flags_a_degenerate_tile_liked_in_one_slot_only():
+    # every solid tile is liked, so clause 1 holds; a degenerate tile is
+    # liked in the first slot only, so repadding the zeros breaks clause 2
+    def raw(player, z):
+        return [1.0 if v > DEGENERACY_TOL or i == 0 else 0.0 for i, v in enumerate(z)]
+
+    prefs = PreferenceMatrix(r=3, kind=OLD, model="first_crumb", raw=raw)
+    report = validate(prefs, "p_pe", 200, seed=0)
+    assert report.violations
+    assert {v["clause"] for v in report.violations} == {2}
+
+
 def test_validate_continuity_builtins():
     for name in ("hungry", "gorbushka", "burnt", "piecewise_random"):
         prefs = make_builtin(name, 3, seed=6)
@@ -274,6 +286,10 @@ def test_piecewise_from_tables():
     assert np.allclose(s, [0.5, 0.5])
     with pytest.raises(ValueError):
         piecewise_from_tables(3, tables)
+    # a NaN breakpoint fails the checks when the table is read
+    for pairs in ([[0.0, 0.2], [math.nan, 1.0], [1.0, 0.0]], [[0.0, 0.2], [0.5, math.nan], [1.0, 0.0]]):
+        with pytest.raises(ValueError, match="breakpoints|non-negative"):
+            piecewise_from_tables(2, {j: {t: pairs for t in (1, 2)} for j in (1, 2)})
 
 
 def test_sample_config_point_respects_variant():
@@ -448,9 +464,10 @@ def test_piecewise_random_new_matches_the_box_map_formula(space):
 
 @pytest.mark.parametrize("space", ["c1", "c2", "c3"])
 def test_piecewise_random_memo_scores_as_a_fresh_oracle(space):
-    # the oracle keeps each player's box scores at the last cut it saw; other
-    # allocations and relabellings of one cut, and cuts that come back after
-    # others, must score as they do on an oracle that saw nothing before
+    # the oracle keeps each player's box scores at the last cut it saw, by
+    # value; other allocations and relabellings of one cut, an equal cut
+    # built anew by ``Cut``, and cuts that come back after others, must
+    # score as they do on an oracle that saw nothing before
     r = 4
     variant = for_space(space, r)
     prefs = make_builtin("piecewise_random", r, kind=NEW, variant=variant, seed=3)
@@ -464,6 +481,7 @@ def test_piecewise_random_memo_scores_as_a_fresh_oracle(space):
             for alloc in _canonical_allocations(variant, essential)
         ]
         queries.append(act(tuple(int(b) + 1 for b in rng.permutation(r)), point))
+        queries.append(_face_point(variant, Cut(point.cut.points), point.allocation))
     queries += queries[::3]
     for point in queries:
         for player in (rng.permutation(r) + 1).tolist():

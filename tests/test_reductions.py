@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import types
 
 import numpy as np
@@ -12,6 +13,7 @@ from envydiv.configspace import (
     canonicalize,
     degenerate_and_essential,
     partition_equivalent,
+    point_from_barycentric,
     z_to_cut,
 )
 from envydiv.preferences import (
@@ -24,7 +26,15 @@ from envydiv.preferences import (
     scores,
     validate,
 )
-from envydiv.reductions import InadmissibleCutError, _reductions, eliminate_superfluous, phi, psi
+from envydiv.reductions import (
+    InadmissibleCutError,
+    _placement,
+    _reductions,
+    _shape,
+    eliminate_superfluous,
+    phi,
+    psi,
+)
 from envydiv.solver import solve
 
 
@@ -150,7 +160,7 @@ def test_psi_supports_match_case_rules(source_factory):
 
 def test_psi_memo_of_the_last_point_scores_as_a_fresh_lift():
     # every psi lift shares one memo of the first degenerate tile and the
-    # boxes of the last point queried, by identity; points taking turns, and
+    # boxes of the last point queried, by value; points taking turns, and
     # a point equal to the last but not the same object, score as they do
     # right after the memo moved to another point
     rng = np.random.default_rng(23)
@@ -165,6 +175,47 @@ def test_psi_memo_of_the_last_point_scores_as_a_fresh_lift():
             assert lifted.raw(player, point) == reference.raw(player, point)
 
 
+def test_psi_rejects_a_source_that_accepts_nothing_at_a_queried_point():
+    hungry = make_builtin("hungry", 2)
+    # accepts nothing at the even cut, which the seeded checks never draw
+    blind = PreferenceMatrix(
+        r=2,
+        kind=OLD,
+        model="blind",
+        raw=lambda player, z: [0.0, 0.0] if z == (0.5, 0.5) else hungry.raw(player, z),
+    )
+    lifted = psi(blind, epsilon=1e-3)
+    point = point_from_barycentric(gorbushka_join(2), ((1, 1), (2, 2)), (0.5, 0.5))
+    with pytest.raises(PreferenceValidationError, match="accepts nothing"):
+        scores(lifted, 1, point)
+
+
+@pytest.mark.parametrize("lift, tiles", [(psi, 3), (phi, 2)])
+def test_lifts_refuse_a_point_with_the_wrong_tile_count(lift, tiles):
+    lifted = lift(make_builtin("hungry", 2))
+    cells = tuple((box, box) for box in (1, 2))
+    point = point_from_barycentric(chessboard(2, tiles), cells, (0.4, 0.6))
+    with pytest.raises(ValueError, match="expected a point with"):
+        scores(lifted, 1, point)
+
+
+@pytest.mark.parametrize(
+    "lift, memo, cells",
+    [(psi, _shape, ((1, 1), (2, 3), (3, 2))), (phi, _placement, ((1, 1), (2, 3), (3, 5)))],
+    ids=["psi", "phi"],
+)
+def test_lift_memo_hits_an_equal_point_rebuilt_by_value(lift, memo, cells):
+    lifted = lift(make_builtin("hungry", 3))
+    weights = (0.2, 0.3, 0.5)
+    first = point_from_barycentric(lifted.variant, cells, weights)
+    row = scores(lifted, 1, first).tolist()
+    rebuilt = point_from_barycentric(lifted.variant, cells, weights)
+    assert rebuilt == first and rebuilt is not first
+    hits = memo.cache_info().hits
+    assert scores(lifted, 1, rebuilt).tolist() == row
+    assert memo.cache_info().hits == hits + 1
+
+
 def test_psi_requires_short_last_tile_margin():
     with pytest.raises(PreferenceValidationError):
         psi(make_builtin("gorbushka", 3), epsilon=1e-3)
@@ -173,8 +224,9 @@ def test_psi_requires_short_last_tile_margin():
 def test_psi_requires_epsilon_for_unknown_models():
     with pytest.raises(ValueError):
         psi(trash_lover(3))
-    with pytest.raises(ValueError):
-        psi(make_builtin("hungry", 3), epsilon=-1.0)
+    for epsilon in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            psi(make_builtin("hungry", 3), epsilon=epsilon)
     with pytest.raises(ValueError):
         psi(make_builtin("hungry", 3, kind="new"), epsilon=1e-3)
 

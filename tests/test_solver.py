@@ -101,6 +101,30 @@ def test_stochastic_matrix_validation():
     assert m.residual == 0.0
     skew = StochasticMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
     assert skew.residual == pytest.approx(0.5)
+    # a NaN entry would leave a NaN residual, which passes every tolerance test
+    with pytest.raises(ValueError):
+        StochasticMatrix(np.array([[math.nan, 1.0], [1.0, 0.0]]))
+
+
+def test_search_rejects_a_nan_tolerance():
+    prefs = make_builtin("hungry", 3, kind="new")
+    with pytest.raises(ValueError, match="nan"):
+        search(gorbushka_join(3), prefs, SearchOptions(tolerance=math.nan))
+
+
+def test_average_matrix_rejects_a_point_where_a_player_accepts_no_box():
+    variant = gorbushka_join(3)
+    hungry = make_builtin("hungry", 3, kind="new", variant=variant)
+    refusing = PreferenceMatrix(
+        r=3,
+        kind="new",
+        model="refusing",
+        raw=lambda player, point: [0.0] * 3 if player == 2 else hungry.raw(player, point),
+        variant=variant,
+    )
+    point = point_from_barycentric(variant, ((1, 1), (2, 2), (3, 3)), (0.2, 0.3, 0.5))
+    with pytest.raises(ValueError, match="player 2 accepts no box"):
+        average_matrix(refusing, point)
 
 
 def test_average_matrix_row_stochastic():

@@ -21,8 +21,11 @@ zeros per grid, not the evaluation count) on the boards of the benchmark's
 native solves and on c2 r=5, c3 r=5, c1 r=7, c3 r=6, c2 r=8, c2 r=6 and
 c2 r=7 ``piecewise_random`` seed 0, and then the reduced homology and
 face counts of the benchmark's topology boards, of chessboards 4x7, 5x6
-and 5x7, and of ``gorbushka_join(5)`` and ``join_power(5)``.  A run that
-raises prints the exception instead.  Run it on two source trees and diff the
+and 5x7, and of ``gorbushka_join(5)`` and ``join_power(5)``.  Three
+refusals close it: psi and phi lifts of a source that fails p_dte and
+p_pe, and a solve of ``hungry`` on c1 r=3 whose player 2 accepts nothing
+at the search's grid cut (0.25, 0.5).  A run that raises prints the
+exception instead.  Run it on two source trees and diff the
 outputs:
 
     PYTHONPATH=src python scripts/dump_outputs.py > after.txt
@@ -219,6 +222,30 @@ def _phi_source(r, seed):
     return preferences.piecewise_from_tables(r, tables)
 
 
+def _first_degenerate_scored(r):
+    """Tile lengths as scores, plus 0.3 for a degenerate first tile alone:
+    covering holds, but p_dte and p_pe fail."""
+
+    def raw(player, z):
+        return [v if v > 0.0 or i else 0.3 for i, v in enumerate(z)]
+
+    return preferences.PreferenceMatrix(r=r, kind="old", model="first-degenerate", raw=raw)
+
+
+def _dump_refusals() -> None:
+    source = _first_degenerate_scored(3)
+    print(f"lift psi refuses p_dte {_value(lambda: reductions.psi(source, LIFT_EPSILON).model)}")
+    print(f"lift phi refuses p_pe {_value(lambda: reductions.phi(source).model)}")
+    variant = complexes.for_space("c1", 3)
+    hungry = preferences.make_builtin("hungry", 3, kind="new", variant=variant)
+
+    def raw(player, point):
+        return [0.0] * 3 if player == 2 and point.cut.points == (0.25, 0.5) else hungry.raw(player, point)
+
+    refusing = preferences.PreferenceMatrix(r=3, kind="new", model="refusing", raw=raw, variant=variant)
+    print(f"solve c1 r=3 refusing at (0.25, 0.5) {_json(lambda: solver.solve(variant, refusing))}")
+
+
 def _lifted_solve(lift, space, r, source):
     def run():
         return solver.solve(complexes.for_space(space, r), lift(source()))
@@ -266,6 +293,7 @@ def main() -> None:
             print(f"solve phi(tables) c2 r={r} seed={seed} {_lifted_solve(reductions.phi, 'c2', r, phi_source)}")
     _dump_searches()
     _dump_topology()
+    _dump_refusals()
 
 
 if __name__ == "__main__":

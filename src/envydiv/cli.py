@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="search for a verified envy-free division")
     add_common(p_solve)
-    p_solve.add_argument("--tol", type=float, default=1e-6)
+    p_solve.add_argument("--tol", type=float, default=SearchOptions.tolerance)
     p_solve.add_argument(
         "--coarse-budget",
         type=int,

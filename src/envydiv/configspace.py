@@ -62,6 +62,15 @@ class Cut:
         return len(self.points) + 1
 
 
+def _fsum(values) -> float:
+    """``math.fsum``, or NaN for a sum past the float range or inf - inf,
+    which every check of a finite sum then rejects."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
 @dataclass(frozen=True)
 class ZPoint:
     """Tile-length vector: a point of the standard simplex."""
@@ -72,7 +81,7 @@ class ZPoint:
         vals = tuple(float(v) for v in self.lengths)
         if not all(v >= -1e-12 for v in vals):
             raise ValueError(f"tile lengths must be non-negative: {vals}")
-        total = math.fsum(vals)
+        total = _fsum(vals)
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"tile lengths must sum to 1, got {total}")
         object.__setattr__(self, "lengths", tuple(max(0.0, v) for v in vals))
@@ -253,7 +262,7 @@ def point_from_barycentric(
     w = [float(x) for x in weights]
     if not all(x >= -1e-12 for x in w):
         raise ValueError(f"weights must be non-negative: {w}")
-    total = math.fsum(w)
+    total = _fsum(w)
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"weights must sum to 1, got {total}")
     return _barycentric_point(variant, tuple((int(i), int(j)) for i, j in cells), w)

@@ -48,6 +48,14 @@ no box there, because every player's preferred sets must cover the space.
 ``solver.solve`` checks covering and equivariance in one pass, the
 ``covering+equivariance`` property: covering is read off every player's
 scores at each equivariance sample, before its relabelling.
+
+Where checks run: ``require_axioms`` is the one gate of the sampled
+checks.  ``solve`` and ``brute_force`` pass their oracle through it, and
+each lift its source, once, before the first query; it names the first
+failing axiom and its count.  Past the gate, the search, ``average_matrix``
+and the lifts' source queries read rows through ``_accepting_row``, which
+raises the same ``PreferenceValidationError`` for a player who accepts
+nothing at the point: a covering failure that no sample drew.
 """
 
 from __future__ import annotations
@@ -171,6 +179,15 @@ def _row(prefs: PreferenceMatrix, player: int, domain) -> list[float]:
     row = _normalized(prefs.raw(player, domain))
     if len(row) != prefs.r:
         raise ValueError(f"oracle returned {len(row)} scores for player {player}, expected {prefs.r}")
+    return row
+
+
+def _accepting_row(prefs: PreferenceMatrix, player: int, domain) -> list[float]:
+    """``_row``, refusing a player who accepts nothing at the point: the
+    covering failure met outside the sampled checks."""
+    row = _row(prefs, player, domain)
+    if not any(row):
+        raise PreferenceValidationError(f"player {player} accepts nothing at {_witness(domain)}")
     return row
 
 
@@ -501,39 +518,13 @@ def _uniform_simplex(rng, n: int) -> np.ndarray:
     return z
 
 
-def _np_sum(values: Sequence[float]) -> float:
-    """``np.sum`` of a float list, bit for bit: numpy's pairwise summation,
-    left to right below 8 entries, 8 interleaved accumulators up to 128,
-    and two halves, cut at a multiple of 8, above."""
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _np_sum(values[:half]) + _np_sum(values[half:])
-    acc = list(values[:8])
-    blocks = n - n % 8
-    for i in range(8, blocks, 8):
-        for j in range(8):
-            acc[j] += values[i + j]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for v in values[blocks:]:
-        total += v
-    return total
-
-
 def sample_lengths(rng, n_tiles: int, force_degenerate: bool = False) -> tuple[float, ...]:
-    z = _uniform_simplex(rng, n_tiles).tolist()
+    z = _uniform_simplex(rng, n_tiles)
     if force_degenerate and n_tiles >= 2:
         k = int(rng.integers(1, n_tiles))
-        for i in rng.choice(n_tiles, size=k, replace=False).tolist():
-            z[i] = 0.0
-        total = _np_sum(z)
-        z = [v / total for v in z]
-    return tuple(z)
+        z[rng.choice(n_tiles, size=k, replace=False)] = 0.0
+        z /= z.sum()
+    return tuple(z.tolist())
 
 
 def sample_config_point(rng, variant: Variant, force_degenerate: bool = False) -> ConfigPoint:
@@ -630,6 +621,21 @@ def validate(
                     violations.append({"point": witness, "deviation": dev, "distance": dist})
 
     return ValidationReport(property, sample_count, violations, max_dev)
+
+
+def require_axioms(prefs: PreferenceMatrix, properties: Sequence[str], sample_count: int, seed: int = 0):
+    """Raise ``PreferenceValidationError`` naming the first axiom that
+    ``validate`` finds violated, and its count.  Each property runs on its
+    own stream seeded with ``seed``, in order; the axioms of a property
+    such as ``covering+equivariance`` are named in its order too."""
+    for prop in properties:
+        violations = validate(prefs, prop, sample_count, seed).violations
+        for axiom in prop.split("+"):
+            count = len(violations) if axiom == prop else sum(v["axiom"] == axiom for v in violations)
+            if count:
+                raise PreferenceValidationError(
+                    f"preferences fail {axiom}: {count} violations in {sample_count} samples"
+                )
 
 
 def _witness(point):

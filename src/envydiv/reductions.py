@@ -28,19 +28,21 @@ module-level entry shared by every lift, holding its last point or cut
 until the next query, not a cache per lifted oracle, so the lifted
 oracles, which the caller may keep, reach no cut or point.
 
-Where checks run: each lift validates its source on seeded samples once,
-when it is built.  Queries of a lifted oracle check only the tile count of
-the point; the source is then called on the cut's own lengths (psi) or on
-the reduced lengths (phi), which have the source's r tiles by construction,
-and its rows go through the shared row reader of ``preferences``, which
-rejects negative and non-finite scores and rows of the wrong length.  A
-reduced cut keeps a subsequence of the checked cut's points, so
+Where checks run: each lift passes its source through the sampled gate of
+``preferences``, ``require_axioms``, once, when it is built: psi checks
+covering and p_dte on ``PSI_CHECK_SAMPLES`` samples, phi covering and
+p_pe on ``PHI_CHECK_SAMPLES``.  Queries of a lifted oracle check only the
+tile count of the point; the source is then called on the cut's own
+lengths (psi) or on the reduced lengths (phi), which have the source's r
+tiles by construction, and its rows go through ``preferences``'
+``_accepting_row``, which rejects negative and non-finite scores, rows of
+the wrong length, and a player who accepts nothing there.  A reduced cut
+keeps a subsequence of the checked cut's points, so
 ``eliminate_superfluous`` builds it without the ``Cut`` checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -59,27 +61,20 @@ from .preferences import (
     PREFERENCE_TOL,
     PreferenceMatrix,
     PreferenceValidationError,
-    _row,
+    _accepting_row,
     _rows,
     _uniform_simplex,
-    validate,
+    require_axioms,
 )
 
 
-#: seeded samples psi checks its source on
+#: seeded samples psi and phi check their source on
 PSI_CHECK_SAMPLES = 200
+PHI_CHECK_SAMPLES = 120
 
 
 class InadmissibleCutError(ValueError):
     """The cut has too few degenerate tiles to be reduced."""
-
-
-@dataclass
-class ReducedPreferences(PreferenceMatrix):
-    """A new-style oracle produced by lifting an old-style source."""
-
-    source: PreferenceMatrix | None = None
-    epsilon: float | None = None
 
 
 def eliminate_superfluous(cut: Cut, keep: str = "left") -> Cut:
@@ -130,17 +125,7 @@ def eliminate_superfluous(cut: Cut, keep: str = "left") -> Cut:
     return _known_points(tuple(p for i, p in enumerate(points) if i not in drop))
 
 
-def _normalized_source_scores(source, player, lengths):
-    """The source player's normalized scores at r tile lengths, as a list."""
-    s = _row(source, player, lengths)
-    if max(s, default=0.0) <= 0.0:
-        raise PreferenceValidationError(
-            "source oracle accepts nothing at a sampled point (covering violated)"
-        )
-    return s
-
-
-def psi(old_prefs: PreferenceMatrix, epsilon: float | None = None) -> ReducedPreferences:
+def psi(old_prefs: PreferenceMatrix, epsilon: float | None = None) -> PreferenceMatrix:
     """Lift an old-style oracle to boxes on the shared-last-tile space (c1).
 
     Box rules, given the source scores at the point's cut: every empty box
@@ -165,18 +150,13 @@ def psi(old_prefs: PreferenceMatrix, epsilon: float | None = None) -> ReducedPre
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
 
-    for prop in ("covering", "p_dte"):
-        report = validate(old_prefs, prop, sample_count=PSI_CHECK_SAMPLES)
-        if not report.passed:
-            raise PreferenceValidationError(
-                f"psi source fails {prop}: {len(report.violations)} violations"
-            )
+    require_axioms(old_prefs, ("covering", "p_dte"), PSI_CHECK_SAMPLES)
     _check_short_last_tile(old_prefs, epsilon)
 
     def raw(player, point: ConfigPoint):
         if point.cut.tile_count != r:
             raise ValueError(f"expected a point with {r} tiles")
-        s = _normalized_source_scores(old_prefs, player, point.cut.lengths)
+        s = _accepting_row(old_prefs, player, point.cut.lengths)
         first_deg, boxes = _shape(point)
         deg = first_deg is not None
         deg_score = s[first_deg - 1] if deg else 0.0
@@ -200,15 +180,13 @@ def psi(old_prefs: PreferenceMatrix, epsilon: float | None = None) -> ReducedPre
                 out.append(s[r - 1])
         return out
 
-    return ReducedPreferences(
+    return PreferenceMatrix(
         r=r,
         kind=NEW,
         model=f"psi({old_prefs.model})",
         raw=raw,
         variant=gorbushka_join(r),
         params={"epsilon": epsilon},
-        source=old_prefs,
-        epsilon=epsilon,
     )
 
 
@@ -271,11 +249,7 @@ def _placement(point: ConfigPoint, keep: str, r: int) -> list:
     return found
 
 
-def phi(
-    old_prefs: PreferenceMatrix,
-    keep: str = "left",
-    check_samples: int = 120,
-) -> ReducedPreferences:
+def phi(old_prefs: PreferenceMatrix, keep: str = "left") -> PreferenceMatrix:
     """Lift a partition-equivalence oracle to boxes on the c2 space.
 
     The doubled cut is reduced with the requested deletion order and with
@@ -283,22 +257,17 @@ def phi(
     reductions differ, box scores that disagree beyond ``PREFERENCE_TOL``
     mean the source is not partition-equivalent and raise an error.
 
-    ``check_samples`` seeded samples check the source's covering and p_pe
-    first; a breach raises, and ``check_samples=0`` skips the checks.
+    ``PHI_CHECK_SAMPLES`` seeded samples check the source's covering and
+    p_pe first; a breach raises.
     """
     if old_prefs.kind != OLD:
         raise ValueError("phi expects an old-style oracle")
     r = old_prefs.r
-    for prop in ("covering", "p_pe") if check_samples else ():
-        report = validate(old_prefs, prop, sample_count=check_samples)
-        if not report.passed:
-            raise PreferenceValidationError(
-                f"phi source fails {prop}: {len(report.violations)} violations"
-            )
+    require_axioms(old_prefs, ("covering", "p_pe"), PHI_CHECK_SAMPLES)
 
     def box_scores(player, reduction):
         lengths, boxes, empty, first_degenerate = reduction
-        s = _normalized_source_scores(old_prefs, player, lengths)
+        s = _accepting_row(old_prefs, player, lengths)
         out = [0.0] * r
         for box, reduced_label in boxes:
             out[box - 1] = s[reduced_label - 1]
@@ -326,12 +295,11 @@ def phi(
             )
         return primary
 
-    return ReducedPreferences(
+    return PreferenceMatrix(
         r=r,
         kind=NEW,
         model=f"phi({old_prefs.model})",
         raw=raw,
         variant=chessboard(r, 2 * r - 1),
         params={"keep": keep},
-        source=old_prefs,
     )

@@ -54,10 +54,10 @@ from .preferences import (
     NEW,
     PREFERENCE_TOL,
     PreferenceMatrix,
-    PreferenceValidationError,
+    _accepting_row,
     _rows,
+    require_axioms,
     score_matrix,
-    validate,
 )
 
 logger = logging.getLogger(__name__)
@@ -131,19 +131,9 @@ class StochasticMatrix:
         return [[float(v) for v in row] for row in self.entries]
 
 
-def _covered_rows(prefs: PreferenceMatrix, point: ConfigPoint) -> list[list[float]]:
-    """Every player's score row at the point, rejecting a point where some
-    player accepts no box."""
-    rows = _rows(prefs, point)
-    for player, row in enumerate(rows, start=1):
-        if not any(row):
-            raise ValueError(f"player {player} accepts no box at {point.to_json()}")
-    return rows
-
-
 def average_matrix(prefs: PreferenceMatrix, point: ConfigPoint) -> StochasticMatrix:
     """Stack every player's score vector at the point and average per box."""
-    return StochasticMatrix(np.array(_covered_rows(prefs, point)))
+    return StochasticMatrix(np.array([_accepting_row(prefs, j, point) for j in range(1, prefs.r + 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +502,8 @@ def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | N
             # the column means as numpy's ``mean(axis=0)`` takes them: rows
             # added in order, then divided by their count
             sums = [0.0] * parts
-            for row in _covered_rows(prefs, point):
-                for box, v in enumerate(row):
+            for player in range(1, prefs.r + 1):
+                for box, v in enumerate(_accepting_row(prefs, player, point)):
                     sums[box] += v
             f = [total / parts - 1.0 / parts for total in sums]
             found = scored[key] = (f, max(map(abs, f)))
@@ -621,8 +611,7 @@ def _hypothesis_met(variant: Variant) -> bool:
 
 def _checked_oracle(variant: Variant, prefs: PreferenceMatrix, prop: str, seed: int) -> PreferenceMatrix:
     """The oracle bound to ``variant``, after ``prop`` passed 200 samples of
-    ``validate`` seeded with ``seed``.  A failure names the first axiom of
-    ``prop`` that has violations, with their count.
+    ``require_axioms`` seeded with ``seed``.
 
     An unbound oracle is bound on a copy, and one bound to another board is
     rejected; either way the caller's oracle is left as it was.
@@ -633,13 +622,7 @@ def _checked_oracle(variant: Variant, prefs: PreferenceMatrix, prop: str, seed: 
         prefs = dataclasses.replace(prefs, variant=variant)
     elif prefs.variant != variant:
         raise ValueError(f"oracle is bound to {prefs.variant}, not to {variant}")
-    report = validate(prefs, prop, sample_count=200, seed=seed)
-    for axiom in prop.split("+"):
-        count = sum(v.get("axiom", axiom) == axiom for v in report.violations)
-        if count:
-            raise PreferenceValidationError(
-                f"preferences fail {axiom}: {count} violations in {report.samples} samples"
-            )
+    require_axioms(prefs, (prop,), 200, seed)
     return prefs
 
 

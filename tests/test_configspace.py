@@ -79,6 +79,9 @@ def test_zpoint_rejects_bad_input():
         ZPoint((-0.2, 1.2))
     with pytest.raises(ValueError, match="non-negative"):
         ZPoint((math.nan, 1.0))
+    # finite lengths whose sum overflows
+    with pytest.raises(ValueError, match="sum to 1"):
+        ZPoint((1e308, 1e308))
 
 
 @settings(max_examples=100, deadline=None)
@@ -235,6 +238,8 @@ def test_point_from_barycentric_rejects_bad_input():
         point_from_barycentric(gorbushka_join(3), [(1, 1), (2, 2)], (1.5, -0.5))
     with pytest.raises(ValueError, match="non-negative"):
         point_from_barycentric(gorbushka_join(2), [(1, 1), (2, 2)], (math.nan, 1.0))
+    with pytest.raises(ValueError, match="sum to 1"):
+        point_from_barycentric(gorbushka_join(2), [(1, 1), (2, 2)], (1e308, 1e308))
 
 
 def test_config_point_rejects_wrong_tile_count():

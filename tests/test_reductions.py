@@ -233,7 +233,7 @@ def test_psi_requires_epsilon_for_unknown_models():
 
 def test_psi_default_epsilon_for_hungry():
     lifted = psi(make_builtin("hungry", 3))
-    assert lifted.epsilon == pytest.approx(1e-3)
+    assert lifted.params["epsilon"] == pytest.approx(1e-3)
     assert lifted.variant == gorbushka_join(3)
 
 
@@ -319,17 +319,19 @@ def test_phi_eliminations_agree_for_partition_equivalent_sources():
 
 
 def test_phi_flags_non_ppe_disagreement_at_query_time():
-    # skip construction-time validation to reach the per-query consistency
-    # check with a source whose scores depend on zero placement
+    # p_pe compares which tiles a player accepts, not their scores: this
+    # source accepts every degenerate tile, so it passes the checks of
+    # construction, but the score of a degenerate first tile is doubled,
+    # which the per-query consistency check catches
     def raw(player, z):
-        return [v + (0.3 if i == 0 and v == 0.0 else 0.0) for i, v in enumerate(z)]
+        return [v if v > 0.0 else (0.6 if i == 0 else 0.3) for i, v in enumerate(z)]
 
     sneaky = PreferenceMatrix(r=2, kind=OLD, model="sneaky", raw=raw)
-    lifted = phi(sneaky, check_samples=0)
+    lifted = phi(sneaky)
     variant = chessboard(2, 3)
     # deleting the 0 keeps the solid tile first; deleting the 1 keeps it last
     point = canonicalize(Cut((0.0, 1.0)), {2: 1}, variant)
-    with pytest.raises(PreferenceValidationError):
+    with pytest.raises(PreferenceValidationError, match="not partition-equivalent"):
         scores(lifted, 1, point)
 
 
@@ -395,8 +397,9 @@ def _reachable(root):
 
 @pytest.mark.parametrize("lift, space", [(phi, "c2"), (psi, "c1")])
 def test_lifted_oracle_keeps_no_cut_after_solve(lift, space):
-    lifted = lift(make_builtin("hungry", 3))
+    source = make_builtin("hungry", 3)
+    lifted = lift(source)
     solve(for_space(space, 3), lifted)
     reached = list(_reachable(lifted))
-    assert any(obj is lifted.source for obj in reached)
+    assert any(obj is source for obj in reached)
     assert not [obj for obj in reached if isinstance(obj, Cut)]

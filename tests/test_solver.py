@@ -123,8 +123,23 @@ def test_average_matrix_rejects_a_point_where_a_player_accepts_no_box():
         variant=variant,
     )
     point = point_from_barycentric(variant, ((1, 1), (2, 2), (3, 3)), (0.2, 0.3, 0.5))
-    with pytest.raises(ValueError, match="player 2 accepts no box"):
+    with pytest.raises(PreferenceValidationError, match="player 2 accepts nothing"):
         average_matrix(refusing, point)
+
+
+def test_solve_refuses_a_player_who_accepts_nothing_at_a_grid_point():
+    # the refusal sits at one cut of the search's grid, which the sampled
+    # covering check never draws; met mid-search it is still a covering
+    # failure, the error the CLI maps to exit 3
+    variant = gorbushka_join(3)
+    hungry = make_builtin("hungry", 3, kind="new", variant=variant)
+
+    def raw(player, point):
+        return [0.0] * 3 if player == 2 and point.cut.points == (0.25, 0.5) else hungry.raw(player, point)
+
+    refusing = PreferenceMatrix(r=3, kind="new", model="refusing", raw=raw, variant=variant)
+    with pytest.raises(PreferenceValidationError, match=r"player 2 accepts nothing at .*'cut': \[0.25, 0.5\]"):
+        solve(variant, refusing)
 
 
 def test_average_matrix_row_stochastic():
@@ -428,8 +443,8 @@ def test_solve_names_the_axiom_that_failed(monkeypatch):
     count = len(validate(shuffled, "equivariance", 200, seed=0).violations)
     with pytest.raises(PreferenceValidationError, match=f"fail equivariance: {count} violations in 200"):
         solve(variant, shuffled)
-    # a player who accepts nothing is a covering failure (exit 3), not the
-    # search's "accepts no box" (exit 4); covering is named first
+    # a player who accepts nothing at every sample fails covering, which is
+    # named before equivariance
     raw = shuffled.raw
     shuffled.raw = lambda player, point: [0.0] * 3 if player == 2 else raw(player, point)
     with pytest.raises(PreferenceValidationError, match="fail covering: 200 violations in 200"):

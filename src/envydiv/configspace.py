@@ -21,7 +21,7 @@ to lie on the simplex, skip the cut checks too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import Variant, is_face
@@ -41,11 +41,15 @@ def _tile_lengths(points: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(max(0.0, b - a) for a, b in zip(bounds, bounds[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cut:
-    """Non-decreasing cut-points in [0, 1]; tile i is [x_{i-1}, x_i]."""
+    """Non-decreasing cut-points in [0, 1]; tile i is [x_{i-1}, x_i].
+
+    Equality, hash and repr read ``points``; ``lengths`` follows from them.
+    """
 
     points: tuple[float, ...]
+    lengths: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = tuple(float(p) for p in self.points)
@@ -109,15 +113,20 @@ def degenerate_and_essential(cut: Cut) -> tuple[frozenset[int], tuple[tuple[Inte
 
 
 def partition_equivalent(a: Cut, b: Cut) -> bool:
-    """True iff both cuts produce the same set of non-degenerate tiles."""
-    ia, ib = ([interval for interval, _ in degenerate_and_essential(c)[1]] for c in (a, b))
-    return len(ia) == len(ib) and all(
-        abs(x[0] - y[0]) <= DEGENERACY_TOL and abs(x[1] - y[1]) <= DEGENERACY_TOL
-        for x, y in zip(ia, ib)
+    """True iff both cuts produce the same set of non-degenerate tiles.
+
+    A degenerate tile may be up to ``DEGENERACY_TOL`` long, so moving the
+    degenerate tiles shifts an essential one by as much as their total:
+    the ends agree within ``DEGENERACY_TOL`` plus both cuts' degenerate length.
+    """
+    (deg_a, ess_a), (deg_b, ess_b) = degenerate_and_essential(a), degenerate_and_essential(b)
+    slack = DEGENERACY_TOL + math.fsum([a.lengths[t - 1] for t in deg_a] + [b.lengths[t - 1] for t in deg_b])
+    return len(ess_a) == len(ess_b) and all(
+        abs(x[0] - y[0]) <= slack and abs(x[1] - y[1]) <= slack for (x, _), (y, _) in zip(ess_a, ess_b)
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfigPoint:
     """Canonical (cut, allocation) pair on one of the board variants.
 
@@ -202,16 +211,16 @@ def _face_point(variant: Variant, cut: Cut, allocation: tuple[tuple[int, int], .
     """``ConfigPoint`` without its checks, for an allocation known to be a face:
     (tile, box) pairs sorted by tile, one per essential tile of the cut."""
     point = object.__new__(ConfigPoint)
-    vars(point).update(variant=variant, cut=cut, allocation=allocation)
+    object.__setattr__(point, "variant", variant)
+    object.__setattr__(point, "cut", cut)
+    object.__setattr__(point, "allocation", allocation)
     return point
 
 
 def _known_points(points: tuple[float, ...]) -> Cut:
     """``Cut`` without its checks, for float cut-points already known to be
     non-decreasing and in [0, 1], such as a subsequence of a cut's points."""
-    cut = object.__new__(Cut)
-    vars(cut).update(points=points, lengths=_tile_lengths(points))
-    return cut
+    return _unchecked_cut(points, _tile_lengths(points))
 
 
 def _known_cut(z: Sequence[float]) -> Cut:
@@ -228,8 +237,14 @@ def _known_cut(z: Sequence[float]) -> Cut:
         lengths.append(max(0.0, point - prev))
         prev = point
     lengths.append(max(0.0, 1.0 - prev))
+    return _unchecked_cut(tuple(points), tuple(lengths))
+
+
+def _unchecked_cut(points: tuple[float, ...], lengths: tuple[float, ...]) -> Cut:
+    """A ``Cut`` holding the given points and their tile lengths, unchecked."""
     cut = object.__new__(Cut)
-    vars(cut).update(points=tuple(points), lengths=tuple(lengths))
+    object.__setattr__(cut, "points", points)
+    object.__setattr__(cut, "lengths", lengths)
     return cut
 
 

@@ -55,7 +55,12 @@ each lift its source, once, before the first query; it names the first
 failing axiom and its count.  Past the gate, the search, ``average_matrix``
 and the lifts' source queries read rows through ``_accepting_row``, which
 raises the same ``PreferenceValidationError`` for a player who accepts
-nothing at the point: a covering failure that no sample drew.
+nothing at the point: a covering failure that no sample drew.  The gate's
+samples depend only on the check, the board or tile count, the sample
+count and the seed, so ``validate`` draws each such plan once per process
+(``_plan``, up to 64 plans of at most ``MAX_PLAN_SAMPLES`` samples) and
+replays it; the seed still selects the stream, and the points are those
+the stream gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -532,12 +538,65 @@ def sample_config_point(rng, variant: Variant, force_degenerate: bool = False) -
     return _barycentric_point(variant, facet, sample_lengths(rng, len(facet), force_degenerate))
 
 
-def _sample_domain(rng, prefs, force_degenerate):
-    if prefs.kind == OLD:
-        return sample_lengths(rng, prefs.r, force_degenerate)
-    if prefs.variant is None:
-        raise ValueError("new-style oracle needs a variant attached for sampling")
-    return sample_config_point(rng, prefs.variant, force_degenerate)
+#: ``validate`` replays memoized draws for runs of at most this many samples
+MAX_PLAN_SAMPLES = 400
+
+
+def _draws(shape: str, domain, sample_count: int, seed: int):
+    """Every sample's draws of one property shape, in the order the seeded
+    stream makes them: (facet index, weights, extra) per sample.
+
+    ``domain`` is the board of a new-style oracle, whose samples are points
+    on a facet drawn by index with its barycentric weights, or the tile
+    count r of an old-style one, whose samples are tile lengths z (the
+    weights; no facet).  Degenerate tiles are forced on odd samples, and on
+    every sample of ``p_dte`` and ``p_pe``.  The extra draw is the
+    relabelling of ``equivariance`` (a 0-based permutation of the boxes),
+    the re-padded z of ``p_pe``, or the weight move of ``continuity``: one
+    normal draw per support weight of the point, padded with NaN to the
+    width of the weights.  ``covering`` and ``p_dte`` draw no extra.
+    """
+    rng = np.random.default_rng(seed)
+    old = not isinstance(domain, Variant)
+    n_facets = None if old else complexes.facet_count(domain)
+    width = domain if old else len(complexes.facet_at(domain, 0))
+    for i in range(sample_count):
+        facet = None if old else int(rng.integers(0, n_facets))
+        w = sample_lengths(rng, width, shape in ("p_dte", "p_pe") or i % 2 == 1)
+        extra = None
+        if shape == "equivariance":
+            extra = rng.permutation(domain.rows).tolist()
+        elif shape == "p_pe":
+            extra = _repad_zeros(rng, w)
+        elif shape == "continuity":
+            support = width
+            if not old:
+                support = len(_barycentric_point(domain, complexes.facet_at(domain, facet), w).allocation)
+            extra = rng.normal(scale=1e-6, size=support).tolist() + [math.nan] * (width - support)
+        yield facet, w, extra
+
+
+@lru_cache(maxsize=64)
+def _plan(shape: str, domain, sample_count: int, seed: int) -> tuple:
+    """``_draws`` as read-only columns, one row per sample: facet indices,
+    weights and extras, with None for a column the shape does not draw."""
+    plan = []
+    for column in zip(*_draws(shape, domain, sample_count, seed)):
+        array = None
+        if column[0] is not None:
+            array = np.array(column)
+            array.flags.writeable = False
+        plan.append(array)
+    return tuple(plan)
+
+
+def _samples(shape: str, domain, sample_count: int, seed: int):
+    """The draws of ``_draws``, replayed from the memoized plan when the
+    run is at most ``MAX_PLAN_SAMPLES`` long and streamed otherwise."""
+    if sample_count > MAX_PLAN_SAMPLES:
+        return _draws(shape, domain, sample_count, seed)
+    plan = _plan(shape, domain, sample_count, seed)
+    return zip(*(repeat(None) if column is None else column.tolist() for column in plan))
 
 
 def validate(
@@ -554,6 +613,16 @@ def validate(
     ``p_pe`` to old-style only.  ``covering+equivariance`` draws the
     samples of ``equivariance`` and reads covering off the scores at each
     unpermuted point; each of its violations names its ``axiom``.
+
+    The draws depend only on the property's shape, the board (or tile
+    count), ``sample_count`` and ``seed``, never on the oracle, so a run
+    of at most ``MAX_PLAN_SAMPLES`` samples replays a plan drawn once per
+    process (``_plan``, at most 64 kept).  A plan holds per sample a facet
+    index, w weights and an extra of r (relabelling, re-padded z) or w
+    (weight move) numbers, 8 bytes each, where w is the facet size or the
+    tile count: at worst 64 x 400 x 8 x (1 + w + max(r, w)) bytes in all,
+    3.5 MB at r = w = 8.  Longer runs draw their samples as they go, from
+    the same generator.  The seed must be a non-negative integer.
     """
     if property not in VALIDATION_PROPERTIES:
         raise ValueError(f"unknown property {property!r}")
@@ -563,24 +632,28 @@ def validate(
         raise ValueError(f"{property} applies to old-style oracles only")
     if sample_count < 1:
         raise ValueError(f"need at least one sample, got {sample_count}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    variant = prefs.variant
+    if prefs.kind == NEW and variant is None:
+        raise ValueError("new-style oracle needs a variant attached for sampling")
 
-    rng = np.random.default_rng(seed)
+    shape = "equivariance" if "equivariance" in property else property
+    space = prefs.r if prefs.kind == OLD else variant
     violations = []
     max_dev = 0.0
 
-    for i in range(sample_count):
-        force_deg = i % 2 == 1
+    for facet, w, extra in _samples(shape, space, sample_count, int(seed)):
+        point = w if facet is None else _barycentric_point(variant, complexes.facet_at(variant, facet), w)
         if property == "covering":
-            point = _sample_domain(rng, prefs, force_deg)
             domain = _domain(prefs, point)
             # player by player, stopping at the first who accepts no box
             accepting = (max(_row(prefs, j, domain)) > PREFERENCE_TOL for j in range(1, prefs.r + 1))
             if not all(accepting):
                 violations.append(_witness(point))
-        elif "equivariance" in property:
-            point = _sample_domain(rng, prefs, force_deg)
+        elif shape == "equivariance":
             # sigma, 0-based: box b + 1 becomes box perm[b] + 1
-            perm = rng.permutation(prefs.r).tolist()
+            perm = extra
             before = _rows(prefs, _domain(prefs, point))
             # the two-axiom property tags each violation with its axiom
             tag = {} if property == "equivariance" else {"axiom": "equivariance"}
@@ -597,28 +670,25 @@ def validate(
                 sigma = [p + 1 for p in perm]
                 violations.append({**tag, "point": _witness(point), "sigma": sigma, "deviation": dev})
         elif property == "p_dte":
-            z = sample_lengths(rng, prefs.r, force_degenerate=True)
-            deg = [i for i, v in enumerate(z) if v <= DEGENERACY_TOL]
+            deg = [i for i, v in enumerate(point) if v <= DEGENERACY_TOL]
             if len(deg) < 2:
                 continue
             dev = max(
-                max(row[d] for d in deg) - min(row[d] for d in deg) for row in _rows(prefs, _domain(prefs, z))
+                max(row[d] for d in deg) - min(row[d] for d in deg) for row in _rows(prefs, _domain(prefs, point))
             )
             max_dev = max(max_dev, dev)
             if dev > tol:
-                violations.append({"lengths": list(z), "deviation": dev})
+                violations.append({"lengths": list(point), "deviation": dev})
         elif property == "p_pe":
-            z = sample_lengths(rng, prefs.r, force_degenerate=True)
-            z_alt = _repad_zeros(rng, z)
-            bad = _ppe_clause_violation(prefs, z, z_alt)
+            bad = _ppe_clause_violation(prefs, point, extra)
             if bad is not None:
-                violations.append({"lengths": list(z), "repadded": list(z_alt), "clause": bad})
+                violations.append({"lengths": list(point), "repadded": list(extra), "clause": bad})
         else:  # continuity
-            dev, dist, witness = _continuity_probe(rng, prefs, force_deg)
+            dev, dist = _continuity_probe(prefs, point, extra)
             if dist > 0:
                 max_dev = max(max_dev, dev)
                 if dev > MAX_SCORE_SLOPE * dist + 1e-12:
-                    violations.append({"point": witness, "deviation": dev, "distance": dist})
+                    violations.append({"point": _witness(point), "deviation": dev, "distance": dist})
 
     return ValidationReport(property, sample_count, violations, max_dev)
 
@@ -674,20 +744,19 @@ def _ppe_clause_violation(prefs, z, z_alt):
     return None
 
 
-def _continuity_probe(rng, prefs, force_deg):
+def _continuity_probe(prefs, point, move):
     """The largest score change when the weights of a sampled point move by
-    about 1e-6, the size of the move, and the point."""
-    point = _sample_domain(rng, prefs, force_deg)
+    ``move`` (about 1e-6 each, NaN past the support), and the size of the move."""
     cells, weights = (None, point) if prefs.kind == OLD else point.support()
     w = np.array(weights)
-    w_alt = np.clip(w + rng.normal(scale=1e-6, size=len(w)), 0.0, None)
+    w_alt = np.clip(w + move[: len(w)], 0.0, None)
     w_alt /= w_alt.sum()
     if cells is None:
         moved = tuple(w_alt)
     else:
         moved = point_from_barycentric(point.variant, cells, tuple(float(v) for v in w_alt))
     dev = float(np.abs(score_matrix(prefs, moved) - score_matrix(prefs, point)).max())
-    return dev, float(np.abs(w_alt - w).max()), _witness(point)
+    return dev, float(np.abs(w_alt - w).max())
 
 
 # ---------------------------------------------------------------------------

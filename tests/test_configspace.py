@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -122,25 +123,39 @@ def test_partition_equivalence_examples():
     assert partition_equivalent(Cut((0.5,)), Cut((0.0, 0.5, 0.5)))
 
 
+def _repadded(cut, positions):
+    """The cut with its degenerate tiles moved to ``positions`` among the
+    solid ones, each keeping its length, so the lengths still sum to 1."""
+    solid = [v for v in cut.lengths if v > DEGENERACY_TOL]
+    degenerate = [v for v in cut.lengths if v <= DEGENERACY_TOL]
+    for pos, v in zip(positions, degenerate):
+        solid.insert(min(pos, len(solid)), v)
+    return z_to_cut(ZPoint(tuple(solid)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(cut=random_cuts(), data=st.data())
 def test_partition_equivalence_relation(cut, data):
-    # reflexive, symmetric, and stable under re-padding zeros
+    # reflexive, symmetric, and stable under re-padding degenerate tiles
     assert partition_equivalent(cut, cut)
-    z = list(cut.lengths)
-    solid = [v for v in z if v > 1e-9]
-    zeros = len(z) - len(solid)
-    positions = data.draw(
-        st.lists(
-            st.integers(0, len(solid)), min_size=zeros, max_size=zeros
-        )
-    )
-    repadded = list(solid)
-    for pos in positions:
-        repadded.insert(min(pos, len(repadded)), 0.0)
-    other = z_to_cut(ZPoint(tuple(repadded)))
+    zeros = sum(v <= DEGENERACY_TOL for v in cut.lengths)
+    positions = data.draw(st.lists(st.integers(0, cut.tile_count - zeros), min_size=zeros, max_size=zeros))
+    other = _repadded(cut, positions)
     assert partition_equivalent(cut, other)
     assert partition_equivalent(other, cut)
+
+
+def test_partition_equivalence_survives_moving_two_degenerate_tiles():
+    # two tiles of 5e-10 hold more than DEGENERACY_TOL together: dropping
+    # them left lengths summing to 1 - 1e-9, which ``ZPoint`` refuses, and
+    # moving them shifts the solid tiles by that much
+    cut = Cut((0.49999999949999996, 0.9999999989999999, 0.9999999995))
+    assert cut.lengths[2:] == (5.000000413701855e-10,) * 2
+    for positions in itertools.product(range(3), repeat=2):
+        other = _repadded(cut, positions)
+        assert partition_equivalent(cut, other), positions
+        assert partition_equivalent(other, cut), positions
+    assert not partition_equivalent(cut, Cut((0.499999995, 0.9999999989999999, 0.9999999995)))
 
 
 def test_canonicalize_strips_degenerate_tiles():

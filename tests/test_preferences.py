@@ -4,10 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from envydiv.complexes import for_space, gorbushka_join
-from envydiv.configspace import DEGENERACY_TOL, Cut, _face_point, act, canonicalize, point_from_barycentric
+from envydiv import preferences
+from envydiv.complexes import facet_at, for_space, gorbushka_join
+from envydiv.configspace import (
+    DEGENERACY_TOL,
+    Cut,
+    _barycentric_point,
+    _face_point,
+    act,
+    canonicalize,
+    point_from_barycentric,
+)
 from envydiv.preferences import (
     BUILTIN_MODELS,
+    MAX_PLAN_SAMPLES,
     NEW,
     OLD,
     PREFERENCE_TOL,
@@ -15,8 +25,12 @@ from envydiv.preferences import (
     VALIDATION_PROPERTIES,
     PreferenceMatrix,
     _normalized,
+    _draws,
     _PiecewiseTable,
+    _plan,
     _random_tables,
+    _repad_zeros,
+    _samples,
     _uniform_simplex,
     load_preference_file,
     make_builtin,
@@ -29,7 +43,7 @@ from envydiv.preferences import (
     validate,
 )
 from envydiv.reductions import phi, psi
-from envydiv.solver import _canonical_allocations
+from envydiv.solver import _canonical_allocations, solve
 
 
 def test_make_builtin_rejects_unknowns():
@@ -580,3 +594,115 @@ def test_normalized_matches_the_reference_on_random_rows():
             assert str(raised.value) == str(exc)
         else:
             assert _normalized(row) == want
+
+
+def _reference_draws(shape, space, sample_count, seed):
+    """The samples of ``validate`` as its loop drew them before the plans:
+    (point or z, extra) per sample, straight off one seeded generator."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(sample_count):
+        degenerate = shape in ("p_dte", "p_pe") or i % 2 == 1
+        if isinstance(space, int):
+            point = sample_lengths(rng, space, degenerate)
+        else:
+            point = sample_config_point(rng, space, degenerate)
+        extra = None
+        if shape == "equivariance":
+            extra = rng.permutation(space.rows).tolist()
+        elif shape == "p_pe":
+            extra = _repad_zeros(rng, point)
+        elif shape == "continuity":
+            weights = point if isinstance(space, int) else point.support()[1]
+            extra = rng.normal(scale=1e-6, size=len(weights)).tolist()
+        out.append((point, extra))
+    return out
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+PLAN_SPACES = [for_space(space, r) for space in ("c1", "c2", "c3") for r in range(2, 6)] + list(range(2, 6))
+
+
+@pytest.mark.parametrize("space", PLAN_SPACES, ids=str)
+@pytest.mark.parametrize("sample_count", [120, 200])
+def test_replayed_plans_are_the_live_draws(space, sample_count):
+    # every shape, bit for bit: the points rebuilt from a memoized plan,
+    # a second replay of it, and the stream past the bound
+    old = isinstance(space, int)
+    shapes = ("covering", "p_dte", "p_pe", "continuity") if old else ("covering", "equivariance", "continuity")
+    for shape in shapes:
+        want = _reference_draws(shape, space, sample_count, seed=3)
+        runs = [list(_samples(shape, space, sample_count, 3)) for _ in range(2)]
+        runs.append(list(_draws(shape, space, sample_count, 3)))
+        for run in runs:
+            assert len(run) == sample_count
+            for (facet, w, extra), (point, ref_extra) in zip(run, want):
+                if old:
+                    assert facet is None and _bits(w) == _bits(point)
+                else:
+                    got = _barycentric_point(space, facet_at(space, facet), w)
+                    assert got == point and _bits(got.cut.lengths) == _bits(point.cut.lengths)
+                if shape == "continuity":
+                    assert _bits(extra[: len(ref_extra)]) == _bits(ref_extra)
+                    assert all(math.isnan(v) for v in extra[len(ref_extra):])
+                elif ref_extra is None:
+                    assert extra is None
+                else:
+                    assert list(extra) == list(ref_extra) and _bits(extra) == _bits(ref_extra)
+
+
+def test_two_solves_on_one_board_draw_one_plan():
+    variant = for_space("c1", 3)
+    solve(variant, make_builtin("hungry", 3, kind=NEW, variant=variant))
+    before = _plan.cache_info()
+    solve(variant, make_builtin("piecewise_random", 3, kind=NEW, variant=variant, seed=4))
+    after = _plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_a_run_past_the_bound_streams_and_reports_as_a_replayed_run(monkeypatch):
+    variant = for_space("c2", 3)
+    shuffled = row_shuffled(make_builtin("piecewise_random", 3, kind=NEW, seed=2, variant=variant))
+    ppe = make_builtin("gorbushka", 4)
+    count = MAX_PLAN_SAMPLES + 1
+    before = _plan.cache_info()
+    streamed = validate(shuffled, "equivariance", count, seed=7)
+    streamed_ppe = validate(ppe, "p_pe", count, seed=7)
+    assert _plan.cache_info() == before
+    # violation counts measured before the draws were memoized
+    assert len(streamed.violations) == 210 and streamed.max_deviation == 0.10985586769000377
+    assert len(streamed_ppe.violations) == 245
+    monkeypatch.setattr(preferences, "MAX_PLAN_SAMPLES", count)
+    assert validate(shuffled, "equivariance", count, seed=7).to_json() == streamed.to_json()
+    assert validate(ppe, "p_pe", count, seed=7).to_json() == streamed_ppe.to_json()
+    assert _plan.cache_info().currsize == min(before.currsize + 2, _plan.cache_info().maxsize)
+
+
+def test_plan_arrays_are_read_only():
+    for shape, space in (("equivariance", for_space("c3", 3)), ("p_pe", 3), ("continuity", for_space("c2", 2))):
+        columns = [column for column in _plan(shape, space, 20, 0) if column is not None]
+        assert len(columns) == (2 if isinstance(space, int) else 3)
+        for column in columns:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+
+
+@pytest.mark.parametrize("seed", [1.0, 1.5, "0", None, -1, True, np.random.default_rng(0)], ids=repr)
+def test_validate_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    before = _plan.cache_info()
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        validate(make_builtin("hungry", 3), "covering", 20, seed=seed)
+    assert _plan.cache_info() == before
+
+
+def test_integer_seeds_of_any_integer_type_share_a_plan():
+    prefs = make_builtin("hungry", 3)
+    validate(prefs, "covering", 30, seed=11)
+    before = _plan.cache_info()
+    by_numpy_int = validate(prefs, "covering", 30, seed=np.int64(11))
+    assert by_numpy_int.to_json() == validate(prefs, "covering", 30, seed=11).to_json()
+    assert _plan.cache_info().hits == before.hits + 2

@@ -8,7 +8,9 @@ built-in model and seeds 0 and 3; the old-style ``covering``, ``p_dte``
 and ``p_pe`` reports (200 samples) for r=2..4 of every built-in model and
 of the seeded psi and phi source tables, seeds 0 and 3; and ``solve`` of
 psi lifts onto c1 and phi lifts onto c2 for r=2..4, from ``hungry`` and
-from seeded breakpoint tables.  It also prints, without an oracle, the
+from seeded breakpoint tables, and the ``equivariance`` and
+``covering+equivariance`` reports (200 samples, seeds 0 and 3) of the same
+lifts.  It also prints, without an oracle, the
 Birkhoff terms, ``extract_assignment`` and ``bottleneck_assignment`` of
 seeded sparse, dense and row-only-stochastic mixes of permutations for
 r=2..6, and of dense mixes nudged off the Birkhoff polytope within the
@@ -74,6 +76,7 @@ TOPOLOGY = [
 ]
 VALIDATED = ("covering", "equivariance", "continuity")
 VALIDATED_OLD = ("covering", "p_dte", "p_pe")
+VALIDATED_LIFTED = ("equivariance", "covering+equivariance")
 LIFT_EPSILON = 0.02
 #: (label, fewest and most permutations mixed, doubly stochastic, nudged)
 MIXES = [
@@ -253,6 +256,21 @@ def _lifted_solve(lift, space, r, source):
     return _json(run)
 
 
+def _dump_lifted_reports() -> None:
+    for r in (2, 3, 4):
+        for seed in (0, 3):
+            lifts = [
+                ("psi(hungry) c1", reductions.psi(preferences.make_builtin("hungry", r))),
+                ("psi(tables) c1", reductions.psi(_psi_source(r, seed), LIFT_EPSILON)),
+                ("phi(hungry) c2", reductions.phi(preferences.make_builtin("hungry", r))),
+                ("phi(tables) c2", reductions.phi(_phi_source(r, seed))),
+            ]
+            for name, lifted in lifts:
+                for prop in VALIDATED_LIFTED:
+                    report = _json(lambda: preferences.validate(lifted, prop, 200, seed=seed))
+                    print(f"validate {prop} {name} r={r} seed={seed} {report}")
+
+
 def main() -> None:
     _dump_assignments()
     _dump_cuts()
@@ -291,6 +309,7 @@ def main() -> None:
             phi_source = lambda: _phi_source(r, seed)  # noqa: E731
             print(f"solve psi(tables) c1 r={r} seed={seed} {_lifted_solve(psi, 'c1', r, psi_source)}")
             print(f"solve phi(tables) c2 r={r} seed={seed} {_lifted_solve(reductions.phi, 'c2', r, phi_source)}")
+    _dump_lifted_reports()
     _dump_searches()
     _dump_topology()
     _dump_refusals()

@@ -34,14 +34,15 @@ cuts on faces they already know without the checks.
 
 Oracles must be pure and deterministic per (player, point): the solver
 evaluates them one at a time, in one thread, and reuses the averages it
-computed at a grid point instead of asking again.  The r players query
-one point in turn, so a new-style ``piecewise_random`` oracle keeps its box
-scores at the last cut in a ``functools.lru_cache(maxsize=1)`` keyed by
-value: it holds that one ``Cut``, and never more.  Validation is
+computed at a grid point instead of asking again.  Validation is
 statistical (seeded sampling) and can only falsify a property, never prove
 it; in particular closedness of preferred sets has no finite certificate
 for a black-box oracle, so the ``continuity`` check is a documented
 heuristic stand-in.
+
+Every new-style oracle the library builds, the built-ins and the
+``reductions`` lifts, is a ``BoxOracle``: box-label blind by construction,
+so ``validate`` samples the equivariance of other oracles only.
 
 Covering is per player: a sample violates it when any one player accepts
 no box there, because every player's preferred sets must cover the space.
@@ -243,14 +244,68 @@ def _plateau(z: float, knee: float) -> float:
     return 1.0 if z <= knee else (1.0 - z) / (1.0 - knee)
 
 
-def _by_length(score, param):
+class BoxOracle:
+    """A new-style ``raw(player, point)`` that cannot see box labels.
+
+    ``box(player, cut)`` returns the player's scorer at the cut,
+    ``score(tiles, empty_boxes)``: one box's score from the tiles it holds,
+    in tile order, and the number of empty boxes.  No box label reaches it,
+    so relabelling the boxes of a point permutes its row exactly.
+    """
+
+    __slots__ = ("box", "r")
+
+    def __init__(self, box: Callable, r: int):
+        self.box = box
+        self.r = r
+
+    def __call__(self, player: int, point: ConfigPoint) -> list[float]:
+        if point.r != self.r:
+            raise ValueError(f"expected a point with {self.r} boxes, got {point.r}")
+        at_cut = _at_cut(self, point.cut)
+        found = at_cut.get(player)
+        if found is None:
+            found = at_cut[player] = (self.box(player, point.cut), {})
+        score, scored = found
+        held = [()] * self.r
+        for tile, box in point.allocation:
+            held[box - 1] += (tile,)
+        empty = held.count(())
+        out = []
+        for tiles in held:
+            value = scored.get((tiles, empty))
+            if value is None:
+                value = scored[tiles, empty] = score(tiles, empty)
+            out.append(value)
+        return out
+
+
+@lru_cache(maxsize=1)  # the r players query one point in turn
+def _at_cut(oracle: BoxOracle, cut: Cut) -> dict:
+    """player -> (scorer, {(tiles, empty boxes): score}) at the last oracle
+    and cut queried; an equal cut built anew has the same lengths."""
+    return {}
+
+
+def _content(z, tiles) -> float:
+    """A box's length: its tiles' lengths added in tile order (not ``sum``,
+    which compensates its rounding from Python 3.12)."""
+    total = 0.0
+    for tile in tiles:
+        total += z[tile - 1]
+    return total
+
+
+def _by_length(score, param, kind, r):
     """Scores each tile (old-style) or box (new-style) by its length alone."""
+    if kind == OLD:
+        return lambda player, z: [score(v, param) for v in z]
 
-    def raw(player, where):
-        lengths = where.box_lengths() if isinstance(where, ConfigPoint) else where
-        return [score(v, param) for v in lengths]
+    def box(player, cut):
+        z = cut.lengths
+        return lambda tiles, empty_boxes: score(_content(z, tiles), param)
 
-    return raw
+    return BoxOracle(box, r)
 
 
 def _gorbushka_old(width, dte):
@@ -267,25 +322,22 @@ def _gorbushka_old(width, dte):
     return raw
 
 
-def _gorbushka_new(width, dte):
-    def raw(player, point: ConfigPoint):
-        z = point.cut.lengths
+def _gorbushka_new(r, width, dte):
+    def box(player, cut):
+        z = cut.lengths
         last = len(z)
-        # one walk over the allocation: each box's longest end tile, and its
-        # content summed in tile order, as ``box_lengths`` does
-        end_mass = [0.0] * point.r
-        contents = [0.0] * point.r
-        for tile, box in point.allocation:
-            v = z[tile - 1]
-            contents[box - 1] += v
-            if (tile == 1 or tile == last) and v > end_mass[box - 1]:
-                end_mass[box - 1] = v
-        if not dte:
-            return end_mass
-        degenerate_signal = max(_bump(v, width) for v in z)
-        return [max(end, degenerate_signal * _bump(content, width)) for end, content in zip(end_mass, contents)]
+        degenerate_signal = max(_bump(v, width) for v in z) if dte else 0.0
 
-    return raw
+        def score(tiles, empty_boxes):
+            end = 0.0  # the box's longest end tile
+            for tile in tiles:
+                if (tile == 1 or tile == last) and z[tile - 1] > end:
+                    end = z[tile - 1]
+            return max(end, degenerate_signal * _bump(_content(z, tiles), width)) if dte else end
+
+        return score
+
+    return BoxOracle(box, r)
 
 
 class _PiecewiseTable:
@@ -345,37 +397,17 @@ def _piecewise_random_new(r, n_tiles, seed):
     tile_tables = [_random_tables(rng, n_tiles, pin_zero=True) for _ in range(r)]
     content_tables = [_random_tables(rng, 1, pin_zero=False)[0] for _ in range(r)]
 
-    def box_score(player, z, tiles):
-        # the content summed in tile order, as ``box_lengths`` does, and the
-        # tile scores by ``fsum``, which is exact
-        tables = tile_tables[player - 1]
-        length = 0.0
-        for tile in tiles:
-            length += z[tile - 1]
-        return RANDOM_FLOOR + content_tables[player - 1](length) + math.fsum(tables[t - 1](z[t - 1]) for t in tiles)
+    def box(player, cut):
+        z = cut.lengths
+        tables, content_table = tile_tables[player - 1], content_tables[player - 1]
 
-    # each player's box scores at the last cut, by the tiles a box holds,
-    # which is all a box's score depends on: relabellings and other
-    # allocations of one cut share it
-    @lru_cache(maxsize=1)  # the r players query one point in turn
-    def scored_at(cut: Cut) -> list[dict]:
-        return [{} for _ in range(r)]
+        def score(tiles, empty_boxes):
+            # the tile scores by ``fsum``, which is exact
+            return RANDOM_FLOOR + content_table(_content(z, tiles)) + math.fsum(tables[t - 1](z[t - 1]) for t in tiles)
 
-    def raw(player, point: ConfigPoint):
-        cut = point.cut
-        scored = scored_at(cut)[player - 1]
-        held = [[] for _ in range(r)]
-        for tile, box in point.allocation:
-            held[box - 1].append(tile)
-        out = []
-        for tiles in map(tuple, held):
-            score = scored.get(tiles)
-            if score is None:
-                score = scored[tiles] = box_score(player, cut.lengths, tiles)
-            out.append(score)
-        return out
+        return score
 
-    return raw
+    return BoxOracle(box, r)
 
 
 def make_builtin(
@@ -401,16 +433,16 @@ def make_builtin(
 
     if name == "hungry":
         margin = float(params.setdefault("margin", HUNGRY_MARGIN))
-        raw = _by_length(_ramp, margin)
+        raw = _by_length(_ramp, margin, kind, r)
     elif name == "gorbushka":
         width = float(params.setdefault("width", GORBUSHKA_WIDTH))
         dte = bool(params.setdefault("dte", True))
-        raw = _gorbushka_old(width, dte) if kind == OLD else _gorbushka_new(width, dte)
+        raw = _gorbushka_old(width, dte) if kind == OLD else _gorbushka_new(r, width, dte)
     elif name == "burnt":
         knee = float(params.setdefault("plateau", BURNT_PLATEAU))
         if not 0.0 < knee < 1.0:
             raise ValueError("burnt plateau must lie strictly inside (0, 1)")
-        raw = _by_length(_plateau, knee)
+        raw = _by_length(_plateau, knee, kind, r)
     else:  # piecewise_random
         if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError("piecewise_random needs a non-negative integer seed")
@@ -612,7 +644,8 @@ def validate(
     and ``covering+equivariance`` to new-style oracles only, ``p_dte`` and
     ``p_pe`` to old-style only.  ``covering+equivariance`` draws the
     samples of ``equivariance`` and reads covering off the scores at each
-    unpermuted point; each of its violations names its ``axiom``.
+    unpermuted point; each of its violations names its ``axiom``.  A
+    ``BoxOracle`` is read at the unpermuted point only (blind by construction).
 
     The draws depend only on the property's shape, the board (or tile
     count), ``sample_count`` and ``seed``, never on the oracle, so a run
@@ -661,6 +694,8 @@ def validate(
                 refusing = next((j for j, row in enumerate(before, 1) if max(row) <= PREFERENCE_TOL), None)
                 if refusing is not None:
                     violations.append({"axiom": "covering", "point": _witness(point), "player": refusing})
+            if isinstance(prefs.raw, BoxOracle):  # its relabelled rows are these, permuted
+                continue
             # ``act`` without its permutation check: relabelled boxes, same cut
             moved = tuple((tile, perm[box - 1] + 1) for tile, box in point.allocation)
             after = _rows(prefs, _face_point(point.variant, point.cut, moved))

@@ -18,21 +18,18 @@ violation of the source.  Where they give the same reduced cut, a query
 scores it once: a pure source (as ``preferences`` requires) cannot
 disagree with itself there, and an impure one is not caught there.
 
-The r players query one point in turn, so what they share at the last
-point queried is kept once, by a ``functools.lru_cache(maxsize=1)`` keyed
-by value: the last cut's reductions (``_reductions``), psi's first
-degenerate tile and boxes (``_shape``) and phi's reductions laid onto the
-boxes (``_placement``).  An equal point rebuilt elsewhere has the same
-lengths, so a hit gives what recomputing would.  Each memo is one
-module-level entry shared by every lift, holding its last point or cut
-until the next query, not a cache per lifted oracle, so the lifted
-oracles, which the caller may keep, reach no cut or point.
+Both lifts are ``preferences.BoxOracle``s, so box-label blind by
+construction.  The r players share the cut's reductions, which
+``_reductions``, a ``functools.lru_cache(maxsize=1)`` keyed by value,
+keeps for the last cut queried: one module-level entry, so the lifted
+oracles, which the caller may keep, reach no cut.
 
 Where checks run: each lift passes its source through the sampled gate of
 ``preferences``, ``require_axioms``, once, when it is built: psi checks
 covering and p_dte on ``PSI_CHECK_SAMPLES`` samples, phi covering and
 p_pe on ``PHI_CHECK_SAMPLES``.  Queries of a lifted oracle check only the
-tile count of the point; the source is then called on the cut's own
+box and tile counts of the point, and that a box holds at most two tiles
+(psi) or one (phi); the source is then called on the cut's own
 lengths (psi) or on the reduced lengths (phi), which have the source's r
 tiles by construction, and its rows go through ``preferences``'
 ``_accepting_row``, which rejects negative and non-finite scores, rows of
@@ -50,7 +47,6 @@ import numpy as np
 from .complexes import chessboard, gorbushka_join
 from .configspace import (
     DEGENERACY_TOL,
-    ConfigPoint,
     Cut,
     _known_points,
     degenerate_and_essential,
@@ -59,6 +55,7 @@ from .preferences import (
     NEW,
     OLD,
     PREFERENCE_TOL,
+    BoxOracle,
     PreferenceMatrix,
     PreferenceValidationError,
     _accepting_row,
@@ -153,38 +150,32 @@ def psi(old_prefs: PreferenceMatrix, epsilon: float | None = None) -> Preference
     require_axioms(old_prefs, ("covering", "p_dte"), PSI_CHECK_SAMPLES)
     _check_short_last_tile(old_prefs, epsilon)
 
-    def raw(player, point: ConfigPoint):
-        if point.cut.tile_count != r:
+    def box(player, cut):
+        if cut.tile_count != r:
             raise ValueError(f"expected a point with {r} tiles")
-        s = _accepting_row(old_prefs, player, point.cut.lengths)
-        first_deg, boxes = _shape(point)
-        deg = first_deg is not None
-        deg_score = s[first_deg - 1] if deg else 0.0
-        out = []
-        for box in range(1, r + 1):
-            tiles = boxes.get(box, ())
+        z = cut.lengths
+        s = _accepting_row(old_prefs, player, z)
+        first_deg = next((label for label, v in enumerate(z, start=1) if v <= DEGENERACY_TOL), None)
+        deg_score = 0.0 if first_deg is None else s[first_deg - 1]
+
+        def score(tiles, empty_boxes):
+            if len(tiles) > 2 or (len(tiles) == 2 and tiles[1] != r):
+                raise ValueError(f"a c1 box holds one tile, or the last and one other, not {tiles}")
             if not tiles:
                 # every empty box carries the full degenerate score; the row
                 # normalization spreads the mass, and the value of a box that
                 # empties out stays continuous in the empty-box count
-                out.append(deg_score)
-            elif len(tiles) == 2:
-                if r not in tiles:
-                    raise ValueError("a shared box must contain the last tile")
-                out.append(max(s[t - 1] for t in tiles))
-            elif tiles[0] != r:
-                out.append(s[tiles[0] - 1])
-            elif deg:
-                out.append(max(s[r - 1], deg_score))
-            else:
-                out.append(s[r - 1])
-        return out
+                return deg_score
+            # with no degenerate tile, max(s, 0.0) is the last tile's own score s >= 0
+            return max(s[r - 1], deg_score) if tiles == (r,) else max(s[t - 1] for t in tiles)
+
+        return score
 
     return PreferenceMatrix(
         r=r,
         kind=NEW,
         model=f"psi({old_prefs.model})",
-        raw=raw,
+        raw=BoxOracle(box, r),
         variant=gorbushka_join(r),
         params={"epsilon": epsilon},
     )
@@ -205,48 +196,20 @@ def _check_short_last_tile(old_prefs, epsilon):
 
 
 @lru_cache(maxsize=1)  # the r players query one point in turn
-def _reductions(cut: Cut, keep: str, other: str) -> tuple:
-    """The reduction along ``keep``, and the one along ``other`` where it
-    differs (None where it is the same).  A reduction is the reduced
-    lengths, the (full, reduced) labels of the k-th essential tile, k = 1,
-    2, ..., and the first degenerate reduced label."""
+def _reductions(cut: Cut, keep: str) -> tuple:
+    """The reduction along ``keep``, and the one along the other order where
+    it differs (None where it is the same).  A reduction is the reduced
+    lengths, the reduced label of each essential tile by its full label,
+    and the first degenerate reduced label."""
     _, ess_full = degenerate_and_essential(cut)
     found = []
-    for which in (keep, other):
+    for which in (keep, "right" if keep == "left" else "left"):
         reduced = eliminate_superfluous(cut, keep=which)
         deg_reduced, ess_reduced = degenerate_and_essential(reduced)
-        labels = [(full, ess_reduced[k][1]) for k, (_, full) in enumerate(ess_full)]
+        labels = {full: ess_reduced[k][1] for k, (_, full) in enumerate(ess_full)}
         found.append((reduced.lengths, labels, min(deg_reduced, default=None)))
     primary, mirror = found
     return primary, (None if mirror == primary else mirror)
-
-
-@lru_cache(maxsize=1)
-def _shape(point: ConfigPoint) -> tuple:
-    """What psi reads off a point for every player: its first degenerate
-    tile (None if none) and its boxes."""
-    z = point.cut.lengths
-    return next((label for label, v in enumerate(z, start=1) if v <= DEGENERACY_TOL), None), point.boxes()
-
-
-@lru_cache(maxsize=1)
-def _placement(point: ConfigPoint, keep: str, r: int) -> list:
-    """What phi reads off a point for every player: its reductions along
-    ``keep`` and along the other order (None where it is the same), each as
-    the reduced lengths, (box, reduced label) pairs, the empty boxes among
-    the r and the first degenerate reduced label."""
-    other = "right" if keep == "left" else "left"
-    tile_to_box = dict(point.allocation)
-    found = []
-    for reduction in _reductions(point.cut, keep, other):
-        if reduction is not None:
-            lengths, labels, first_degenerate = reduction
-            boxes = [(tile_to_box[full], reduced) for full, reduced in labels]
-            occupied = {box for box, _ in boxes}
-            empty = [b for b in range(1, r + 1) if b not in occupied]
-            reduction = (lengths, boxes, empty, first_degenerate)
-        found.append(reduction)
-    return found
 
 
 def phi(old_prefs: PreferenceMatrix, keep: str = "left") -> PreferenceMatrix:
@@ -265,41 +228,46 @@ def phi(old_prefs: PreferenceMatrix, keep: str = "left") -> PreferenceMatrix:
     r = old_prefs.r
     require_axioms(old_prefs, ("covering", "p_pe"), PHI_CHECK_SAMPLES)
 
-    def box_scores(player, reduction):
-        lengths, boxes, empty, first_degenerate = reduction
+    def reduced_score(player, reduction):
+        """One reduction's scorer: a tile's reduced score, or an empty box's share of the degenerate score."""
+        lengths, labels, first_degenerate = reduction
         s = _accepting_row(old_prefs, player, lengths)
-        out = [0.0] * r
-        for box, reduced_label in boxes:
-            out[box - 1] = s[reduced_label - 1]
-        if first_degenerate is not None and empty:
-            deg_score = s[first_degenerate - 1]
-            if deg_score > PREFERENCE_TOL:
-                share = deg_score / len(empty)
-                for b in empty:
-                    out[b - 1] = share
-        return out
+        deg_score = 0.0 if first_degenerate is None else s[first_degenerate - 1]
 
-    def raw(player, point: ConfigPoint):
-        if point.cut.tile_count != 2 * r - 1:
+        def score(tiles, empty_boxes):
+            if len(tiles) > 1:
+                raise ValueError(f"a c2 box holds one tile, not {tiles}")
+            if tiles:
+                return s[labels[tiles[0]] - 1]
+            return deg_score / empty_boxes if deg_score > PREFERENCE_TOL else 0.0
+
+        return score
+
+    def box(player, cut):
+        if cut.tile_count != 2 * r - 1:
             raise ValueError(f"expected a point with {2 * r - 1} tiles")
-        reduction, mirror_reduction = _placement(point, keep, r)
-        primary = box_scores(player, reduction)
+        reduction, mirror_reduction = _reductions(cut, keep)
+        primary = reduced_score(player, reduction)
         if mirror_reduction is None:  # a pure source scores it the same
             return primary
-        mirror = box_scores(player, mirror_reduction)
-        drift = max(abs(a - b) for a, b in zip(primary, mirror))
-        if drift > PREFERENCE_TOL:
-            raise PreferenceValidationError(
-                f"superfluous-cut eliminations disagree by {drift:.3g}; "
-                "source is not partition-equivalent"
-            )
-        return primary
+        mirror = reduced_score(player, mirror_reduction)
+
+        def score(tiles, empty_boxes):
+            value = primary(tiles, empty_boxes)
+            drift = abs(value - mirror(tiles, empty_boxes))
+            if drift > PREFERENCE_TOL:
+                raise PreferenceValidationError(
+                    f"superfluous-cut eliminations disagree by {drift:.3g}; source is not partition-equivalent"
+                )
+            return value
+
+        return score
 
     return PreferenceMatrix(
         r=r,
         kind=NEW,
         model=f"phi({old_prefs.model})",
-        raw=raw,
+        raw=BoxOracle(box, r),
         variant=chessboard(r, 2 * r - 1),
         params={"keep": keep},
     )

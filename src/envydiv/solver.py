@@ -26,7 +26,6 @@ import dataclasses
 import itertools
 import logging
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
@@ -44,10 +43,11 @@ from .complexes import (
 from .configspace import (
     DEGENERACY_TOL,
     ConfigPoint,
-    Cut,
     _barycentric_point,
     _face_point,
     _known_cut,
+    _known_points,
+    _tile_lengths,
     point_from_barycentric,
 )
 from .preferences import (
@@ -161,24 +161,30 @@ def _permutation_table(r: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, perms + r * np.arange(r)
 
 
+def _assigned_minima(flat: np.ndarray, r: int) -> np.ndarray:
+    """For each row of ``flat``, an r x r score matrix read row by row, the
+    smallest entry each permutation of ``_permutation_table`` assigns."""
+    return flat.take(_permutation_table(r)[1], axis=1).min(axis=2)
+
+
 def _first_above(entries: np.ndarray, threshold: float) -> np.ndarray | None:
-    """Lex-least permutation handing every player more than ``threshold``.
+    """Lex-least permutation handing every player more than ``threshold``:
+    the first whose smallest assigned entry exceeds it.
 
     Row i of the permutation table is the i-th permutation in lexicographic
     order, so the first qualifying row is the lex-least one.
     """
-    perms, flat = _permutation_table(len(entries))
-    ok = (entries.take(flat) > threshold).all(axis=1)
+    r = len(entries)
+    ok = _assigned_minima(entries.reshape(1, r * r), r)[0] > threshold
     first = int(ok.argmax())
-    return perms[first] if ok[first] else None
+    return _permutation_table(r)[0][first] if ok[first] else None
 
 
 def _max_mins(flat: np.ndarray, r: int) -> tuple[list[float], list[int]]:
-    """For each row of ``flat``, an r x r score matrix read row by row, in
-    one gather: the largest smallest-assigned score over all permutations,
-    and the row of ``_permutation_table`` of the lex-least permutation
-    reaching it."""
-    worst = flat.take(_permutation_table(r)[1], axis=1).min(axis=2)
+    """For each row of ``flat``, an r x r score matrix read row by row: the
+    largest smallest-assigned score over all permutations, and the row of
+    ``_permutation_table`` of the lex-least permutation reaching it."""
+    worst = _assigned_minima(flat, r)
     best = worst.argmax(axis=1)  # the first maximum: lex-least on ties
     return worst[np.arange(len(worst)), best].tolist(), best.tolist()
 
@@ -741,18 +747,29 @@ def _canonical_allocations(variant: Variant, essential: tuple[int, ...]):
 
 def _grid_cuts(variant: Variant, grid_resolution: int):
     """Grid configuration cuts; for c2 boards the essential tiles sit in the
-    odd columns and the even columns stay degenerate."""
+    odd columns and the even columns stay degenerate.  The grid values are
+    sorted and lie in [0, 1], so the cuts skip the ``Cut`` checks."""
     values = [i / (grid_resolution - 1) for i in range(grid_resolution)]
     free_points = variant.rows - 1
     for pts in itertools.combinations_with_replacement(values, free_points):
         if variant.kind == CHESSBOARD:
-            base = Cut(pts)
             z = [0.0] * variant.cols
-            for i, length in enumerate(base.lengths):
-                z[2 * i] = length
+            z[::2] = _tile_lengths(pts)
             yield _known_cut(z)
         else:
-            yield Cut(pts)
+            yield _known_points(pts)
+
+
+def _scan(variant: Variant, grid_resolution: int):
+    """The (cut, allocation) of every point ``brute_force`` scores, in scan
+    order: each grid cut with the canonical allocations of its essential tiles."""
+    allocations = {}  # essential tiles -> their canonical allocations
+    for cut in _grid_cuts(variant, grid_resolution):
+        essential = tuple(tile for tile, length in enumerate(cut.lengths, start=1) if length > DEGENERACY_TOL)
+        if essential not in allocations:
+            allocations[essential] = [tuple(a.items()) for a in _canonical_allocations(variant, essential)]
+        for alloc in allocations[essential]:
+            yield cut, alloc
 
 
 def _scan_size(variant: Variant, grid_resolution: int) -> int:
@@ -806,37 +823,16 @@ def brute_force(
     evaluated = 0
     r = variant.rows
     chunk = max(1, BRUTE_GATHER // (math.factorial(r) * r))
-    # the (cut, allocation) of each point of the chunk, and their score
-    # matrices, flat, as raw doubles
-    pending, scores = [], array("d")
-
-    def take_best():
-        # the first strict maximum of the chunk, in scan order
-        nonlocal best_value, best_point, best_sigma, scores
-        values, firsts = _max_mins(np.frombuffer(scores).reshape(len(pending), r * r), r)
-        for (cut, alloc), value, first in zip(pending, values, firsts):
+    scan = _scan(variant, grid_resolution)
+    while batch := list(itertools.islice(scan, chunk)):
+        evaluated += len(batch)
+        rows = [row for cut, alloc in batch for row in _rows(prefs, _face_point(variant, cut, alloc))]
+        values, firsts = _max_mins(np.array(rows).reshape(len(batch), r * r), r)
+        # the first strict maximum of the batch, in scan order
+        for (cut, alloc), value, first in zip(batch, values, firsts):
             if value > best_value:
                 best_value, best_point = value, _face_point(variant, cut, alloc)
                 best_sigma = _one_based(_permutation_table(r)[0][first])
-        pending.clear()
-        scores = array("d")
-
-    allocations = {}  # essential tiles -> their canonical allocations
-    for cut in _grid_cuts(variant, grid_resolution):
-        essential = tuple(
-            label for label, length in enumerate(cut.lengths, start=1) if length > DEGENERACY_TOL
-        )
-        if essential not in allocations:
-            allocations[essential] = [tuple(a.items()) for a in _canonical_allocations(variant, essential)]
-        for alloc in allocations[essential]:
-            evaluated += 1
-            pending.append((cut, alloc))
-            for row in _rows(prefs, _face_point(variant, cut, alloc)):
-                scores.extend(row)
-            if len(pending) == chunk:
-                take_best()
-    if pending:
-        take_best()
 
     return BruteForceResult(
         feasible=best_value > PREFERENCE_TOL,

@@ -246,6 +246,18 @@ def test_brute_row_shuffled_oracle_exits_3(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["validation_failed"]
 
 
+def test_solve_row_shuffled_oracle_exits_3(capsys, tmp_path, monkeypatch):
+    # a general-form oracle that sees box labels is sampled, and refused
+    load = preferences.load_preference_file
+    monkeypatch.setattr(
+        preferences, "load_preference_file", lambda *a, **kw: row_shuffled(load(*a, **kw))
+    )
+    prefs = write_prefs(tmp_path, "random.json", {"r": 3, "kind": "new", "model": "piecewise_random"})
+    code, out = run(capsys, ["solve", "--r", "3", "--space", "c1", "--prefs", prefs])
+    assert code == 3
+    assert "fail equivariance" in json.loads(out)["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from envydiv import preferences
-from envydiv.complexes import facet_at, for_space, gorbushka_join
+from envydiv.complexes import facet_at, for_space, gorbushka_join, join_power
 from envydiv.configspace import (
     DEGENERACY_TOL,
     Cut,
@@ -23,6 +23,7 @@ from envydiv.preferences import (
     PREFERENCE_TOL,
     RANDOM_FLOOR,
     VALIDATION_PROPERTIES,
+    BoxOracle,
     PreferenceMatrix,
     _normalized,
     _draws,
@@ -413,6 +414,7 @@ def _counted(prefs):
         ("piecewise_random", None, "c1", "equivariance", 1200),
         # and covering+equivariance reads covering off the first of the two
         ("piecewise_random", None, "c1", "covering+equivariance", 1200),
+        ("burnt", None, "c2", "equivariance", 1200),
     ],
 )
 def test_validation_makes_a_fixed_number_of_oracle_calls(model, params, space, prop, expected):
@@ -420,6 +422,100 @@ def test_validation_makes_a_fixed_number_of_oracle_calls(model, params, space, p
     prefs, calls = _counted(make_builtin(model, 3, kind="new", params=params, variant=variant))
     validate(prefs, prop, sample_count=200, seed=0)
     assert calls[0] == expected
+
+
+@pytest.mark.parametrize("prop", ["equivariance", "covering+equivariance"])
+def test_validation_reads_a_box_oracle_at_the_unpermuted_point_only(monkeypatch, prop):
+    # the sampled relabellings are still drawn, but a box oracle's rows at
+    # them are its rows at the point, permuted, so only r calls per sample
+    prefs = make_builtin("piecewise_random", 3, kind=NEW, variant=for_space("c1", 3))
+    calls = [0]
+    call = BoxOracle.__call__
+
+    def counting(self, player, point):
+        calls[0] += 1
+        return call(self, player, point)
+
+    monkeypatch.setattr(BoxOracle, "__call__", counting)
+    report = validate(prefs, prop, sample_count=200, seed=0)
+    assert (report.samples, report.passed, report.max_deviation) == (200, True, 0.0)
+    assert calls[0] == 3 * 200
+
+
+def test_box_oracle_builds_a_scorer_per_player_and_cut_and_scores_a_content_once():
+    built, scored = [], []
+
+    def box(player, cut):
+        built.append(player)
+
+        def score(tiles, empty_boxes):
+            scored.append((player, tiles, empty_boxes))
+            return float(len(tiles) + empty_boxes)
+
+        return score
+
+    raw = BoxOracle(box, 3)
+    variant = join_power(3)
+    cut = Cut((0.2, 0.5))
+    # two relabellings of one allocation, then two of another
+    allocations = ({1: 1, 2: 2, 3: 3}, {1: 2, 2: 3, 3: 1}, {1: 1, 2: 1, 3: 2}, {1: 2, 2: 2, 3: 1})
+    points = [canonicalize(cut, alloc, variant) for alloc in allocations]
+    rows = [raw(player, point) for point in points for player in (1, 2)]
+    assert built == [1, 2]
+    assert rows[::2] == [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [3.0, 2.0, 1.0], [2.0, 3.0, 1.0]]
+    # per player: three boxes of one tile and no empty box, then tiles 1
+    # and 2, tile 3 and nothing, with one empty box
+    assert sorted(scored) == sorted(
+        (player, tiles, empty)
+        for player in (1, 2)
+        for tiles, empty in (((1,), 0), ((2,), 0), ((3,), 0), ((1, 2), 1), ((3,), 1), ((), 1))
+    )
+    # a query at another cut takes the memo; the first cut then starts over
+    raw(1, canonicalize(Cut((0.3, 0.6)), allocations[0], variant))
+    raw(1, points[0])
+    assert built == [1, 2, 1, 1]
+
+
+def test_box_oracle_refuses_a_point_with_another_box_count():
+    raw = BoxOracle(lambda player, cut: pytest.fail("a scorer was built"), 3)
+    point = canonicalize(Cut((0.2, 0.5, 0.7)), {1: 1, 2: 2, 3: 3, 4: 4}, join_power(4))
+    with pytest.raises(ValueError, match="expected a point with 3 boxes, got 4"):
+        raw(1, point)
+
+
+def _box_oracle(model, space, r):
+    if model == "psi":
+        return psi(make_builtin("hungry", r))
+    if model == "phi":
+        return phi(make_builtin("hungry", r))
+    return make_builtin(model, r, kind=NEW, variant=for_space(space, r), seed=r)
+
+
+@pytest.mark.parametrize(
+    "model, space, r",
+    [(model, space, r) for model in BUILTIN_MODELS for space in ("c1", "c2", "c3") for r in range(2, 6)]
+    + [("psi", "c1", r) for r in range(2, 6)]
+    + [("phi", "c2", r) for r in range(2, 6)],
+)
+def test_relabelled_rows_are_the_permuted_rows_bit_for_bit(model, space, r):
+    # read at the relabelled point right after the point itself, and again
+    # after a query at another cut has taken the memo
+    prefs = _box_oracle(model, space, r)
+    assert isinstance(prefs.raw, BoxOracle)
+    rng = np.random.default_rng(r)
+    elsewhere = sample_config_point(rng, prefs.variant)
+    for i in range(30):
+        point = sample_config_point(rng, prefs.variant, force_degenerate=i % 2 == 1)
+        sigma = tuple(int(b) + 1 for b in rng.permutation(r))
+        moved = act(sigma, point)
+        for player in range(1, r + 1):
+            want = [0.0] * r
+            for box, v in enumerate(prefs.raw(player, point), start=1):
+                want[sigma[box - 1] - 1] = v
+            warm = prefs.raw(player, moved)
+            prefs.raw(player, elsewhere)
+            cold = prefs.raw(player, moved)
+            assert [v.hex() for v in warm] == [v.hex() for v in want] == [v.hex() for v in cold]
 
 
 def _table_reference(table, z):

@@ -6,10 +6,11 @@ import types
 import numpy as np
 import pytest
 
-from envydiv.complexes import chessboard, for_space, gorbushka_join
+from envydiv.complexes import chessboard, for_space, gorbushka_join, join_power
 from envydiv.configspace import (
     Cut,
     ZPoint,
+    _face_point,
     canonicalize,
     degenerate_and_essential,
     partition_equivalent,
@@ -21,6 +22,7 @@ from envydiv.preferences import (
     PREFERENCE_TOL,
     PreferenceMatrix,
     PreferenceValidationError,
+    _at_cut,
     make_builtin,
     sample_config_point,
     scores,
@@ -28,9 +30,7 @@ from envydiv.preferences import (
 )
 from envydiv.reductions import (
     InadmissibleCutError,
-    _placement,
     _reductions,
-    _shape,
     eliminate_superfluous,
     phi,
     psi,
@@ -200,20 +200,43 @@ def test_lifts_refuse_a_point_with_the_wrong_tile_count(lift, tiles):
 
 
 @pytest.mark.parametrize(
-    "lift, memo, cells",
-    [(psi, _shape, ((1, 1), (2, 3), (3, 2))), (phi, _placement, ((1, 1), (2, 3), (3, 5)))],
+    "lift, cells",
+    [(psi, ((1, 1), (2, 3), (3, 2))), (phi, ((1, 1), (2, 3), (3, 5)))],
     ids=["psi", "phi"],
 )
-def test_lift_memo_hits_an_equal_point_rebuilt_by_value(lift, memo, cells):
-    lifted = lift(make_builtin("hungry", 3))
+def test_lift_memo_hits_an_equal_point_rebuilt_by_value(lift, cells):
+    source = make_builtin("hungry", 3)
+    lifted = lift(source)
     weights = (0.2, 0.3, 0.5)
     first = point_from_barycentric(lifted.variant, cells, weights)
     row = scores(lifted, 1, first).tolist()
     rebuilt = point_from_barycentric(lifted.variant, cells, weights)
     assert rebuilt == first and rebuilt is not first
-    hits = memo.cache_info().hits
+    hits = _at_cut.cache_info().hits
+    source.raw = lambda player, z: pytest.fail("the source was asked again at a memoized cut")
     assert scores(lifted, 1, rebuilt).tolist() == row
-    assert memo.cache_info().hits == hits + 1
+    assert _at_cut.cache_info().hits == hits + 1
+
+
+def test_psi_refuses_a_box_of_three_tiles():
+    # a join-power point holds three tiles in box 1, which no c1 point does
+    point = canonicalize(Cut((0.2, 0.5)), {1: 1, 2: 1, 3: 1}, join_power(3))
+    with pytest.raises(ValueError, match="holds one tile, or the last and one other, not \\(1, 2, 3\\)"):
+        psi(make_builtin("hungry", 3)).raw(1, point)
+
+
+def test_phi_refuses_a_point_with_another_box_count():
+    point = canonicalize(Cut((0.2, 0.5, 0.5, 0.5)), {1: 1, 2: 1, 5: 2}, join_power(5))
+    with pytest.raises(ValueError, match="expected a point with 3 boxes, got 5"):
+        phi(make_builtin("hungry", 3)).raw(1, point)
+
+
+def test_phi_refuses_a_box_of_two_tiles():
+    # no board of c2's shape lets tiles share a box, so build the point
+    # past the face check: tiles 1 and 2 share box 1
+    point = _face_point(chessboard(3, 5), Cut((0.2, 0.5, 0.5, 0.5)), ((1, 1), (2, 1), (5, 2)))
+    with pytest.raises(ValueError, match="a c2 box holds one tile, not \\(1, 2\\)"):
+        phi(make_builtin("hungry", 3)).raw(1, point)
 
 
 def test_psi_requires_short_last_tile_margin():

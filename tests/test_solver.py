@@ -990,8 +990,11 @@ def test_solve_and_brute_force_make_a_fixed_number_of_oracle_calls():
     # and p_pe, 3 players at two points each
     assert calls[0] == 120 * 3 + 120 * 6
     calls[0] = 0
-    # each of the 1,254 queries of the lift's solve (1,200 validating, 54 in
-    # the search) calls the source once, and again at the 99 queries whose
-    # cut reduces differently along the two deletion orders
+    # the lift is a box oracle, so validation reads its rows at the 200
+    # unpermuted sample points only; the search then scores 16 points.  Each
+    # of the 216 cuts, all distinct, calls the source once per player, and
+    # again at the 15 + 3 cuts that reduce differently along the two
+    # deletion orders: 3 x (216 + 18) = 702.  Average and verify query the
+    # search's last cut again, which the memo still holds
     solve(for_space("c2", 3), lifted)
-    assert calls[0] == 1254 + 99
+    assert calls[0] == 3 * (216 + 18)

@@ -202,6 +202,13 @@ def _cmd_demo(args) -> tuple[dict, int]:
     return payload, EXIT_OK if payload["pass"] else EXIT_VALIDATION
 
 
+def _non_negative(text: str) -> int:
+    """argparse type of a cap or budget: a negative one is bad input, not one exceeded."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises on a usage error, which ``main`` reports as bad input (exit 4),
     instead of exiting with argparse's 2, the budget-exhausted code."""
@@ -231,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--tol", type=float, default=SearchOptions.tolerance)
     p_solve.add_argument(
         "--coarse-budget",
-        type=int,
+        type=_non_negative,
         default=SearchOptions.coarse_budget,
         help="distinct points one grid may score; the grid stops doubling beyond it",
     )
@@ -258,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.add_argument("--n", type=int, default=None)
     p_top.add_argument("--r", type=int, default=None)
     p_top.add_argument("--pseudomanifold", action="store_true")
-    p_top.add_argument("--max-simplices", type=int, default=complexes.MAX_SIMPLICES)
+    p_top.add_argument("--max-simplices", type=_non_negative, default=complexes.MAX_SIMPLICES)
     p_top.add_argument("--out", default=None)
     p_top.set_defaults(fn=_cmd_topology)
 

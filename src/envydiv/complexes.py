@@ -14,8 +14,8 @@ tiles of a cut:
   no row restriction (a box may receive any number of tiles).
 
 The module also provides integer reduced homology (sparse elimination on
-unit pivots, then Smith normal form of the block that remains) and a
-pseudomanifold check, both used by the verification suite.
+unit pivots, then a smallest-entry Smith normal form of the block left)
+and a pseudomanifold check, both used by the verification suite.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial, gcd, inf, lcm, perm
 
 Cell = tuple[int, int]
 Simplex = tuple[Cell, ...]
@@ -237,72 +237,35 @@ def build_complex(variant: Variant) -> SimplicialComplex:
 def smith_invariants(matrix: list[list[int]]) -> list[int]:
     """Nonzero diagonal invariant factors d1 | d2 | ... of an integer matrix.
 
-    Exact arbitrary-precision arithmetic throughout, so torsion is never
-    lost to overflow.  The rank of the matrix is ``len(result)``.
+    Pivots at a least nonzero |entry|, first in row-major order, and reduces
+    its column and row by floor division; a remainder, smaller than the
+    pivot, pivots next, so every pass either lowers |pivot| or, with both
+    clear, moves |pivot| to the diagonal and deletes its row and column.
+    Each pair of diagonal entries then becomes their gcd and lcm.  Exact
+    integers throughout, so torsion is never lost to overflow.  The rank
+    of the matrix is ``len(result)``; the input is not modified.
     """
-    m = [row[:] for row in matrix]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    divisors: list[int] = []
-    t = 0
-    while t < min(n_rows, n_cols):
-        # bring a minimal-magnitude nonzero entry to the pivot position
-        pi = pj = -1
-        best = 0
-        for i in range(t, n_rows):
-            for j in range(t, n_cols):
-                v = abs(m[i][j])
-                if v and (best == 0 or v < best):
-                    best = v
-                    pi, pj = i, j
-            if best == 1:
-                break
-        if best == 0:
-            break
-        m[t], m[pi] = m[pi], m[t]
-        if pj != t:
-            for row in m:
-                row[t], row[pj] = row[pj], row[t]
-
-        while True:
-            changed = False
-            p = m[t][t]
-            for i in range(t + 1, n_rows):
-                if m[i][t]:
-                    q = m[i][t] // p
-                    if q:
-                        m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-                        p = m[t][t]
-                        changed = True
-            for j in range(t + 1, n_cols):
-                if m[t][j]:
-                    q = m[t][j] // p
-                    if q:
-                        for i in range(n_rows):
-                            m[i][j] -= q * m[i][t]
-                    if m[t][j]:
-                        for i in range(n_rows):
-                            m[i][t], m[i][j] = m[i][j], m[i][t]
-                        p = m[t][t]
-                        changed = True
-            if not changed:
-                break
-
-        # enforce divisibility of the remaining block by the pivot
-        p = m[t][t]
-        offender = -1
-        for i in range(t + 1, n_rows):
-            if any(m[i][j] % p for j in range(t + 1, n_cols)):
-                offender = i
-                break
-        if offender >= 0:
-            m[t] = [a + b for a, b in zip(m[t], m[offender])]
-            continue
-        divisors.append(abs(p))
-        t += 1
-    return divisors
+    m, diagonal = matrix, []
+    while m := [row for row in m if any(row)]:
+        pi = min(range(len(m)), key=lambda i: min(map(abs, filter(None, m[i]))))
+        pivot = m[pi]
+        pj = min(range(len(pivot)), key=lambda j: abs(pivot[j]) or inf)
+        p = pivot[pj]
+        clear = not any(v % p for v in pivot) and not any(row[pj] % p for row in m)
+        quotients = [v // p for v in pivot]
+        quotients[pj] = 0
+        for i, row in enumerate(m):  # row operation, then column operations
+            if i != pi and row[pj]:
+                q = row[pj] // p
+                row = m[i] = [a - q * b for a, b in zip(row, pivot)]
+            if c := row[pj]:
+                m[i] = [a - c * q for a, q in zip(row, quotients)]
+        if clear:
+            diagonal.append(abs(p))
+            m = [row[:pj] + row[pj + 1:] for i, row in enumerate(m) if i != pi]
+    for i, j in itertools.combinations(range(len(diagonal)), 2):
+        diagonal[i], diagonal[j] = gcd(diagonal[i], diagonal[j]), lcm(diagonal[i], diagonal[j])
+    return diagonal
 
 
 def boundary_matrix(cx: SimplicialComplex, dim: int) -> list[dict[int, int]]:
@@ -331,10 +294,11 @@ def sparse_invariants(columns: list[dict[int, int]], max_block: int = MAX_SIMPLI
     push rule: a unit entry is pushed when it becomes a unit, at the start
     or by a column operation, and again only when its item surfaces with a
     cost that has since changed.  The block left without unit entries goes
-    to :func:`smith_invariants`.  Invariant factors are unique, so the
-    result equals ``smith_invariants`` of the dense matrix whatever the
-    pivot order.  Raises ResourceCapExceeded, before allocating it, when
-    that block has more than ``max_block`` entries.
+    to :func:`smith_invariants`, which pivots on its smallest entries.
+    Invariant factors are unique, so the result equals ``smith_invariants``
+    of the dense matrix whatever the pivot order.  Raises
+    ResourceCapExceeded, before allocating it, when that block has more
+    than ``max_block`` entries.
     """
     cols = {j: dict(col) for j, col in enumerate(columns) if col}
     rows: dict[int, set[int]] = {}
@@ -428,7 +392,7 @@ def reduced_homology(cx: SimplicialComplex, max_simplices: int = MAX_SIMPLICES) 
     """Reduced homology over the integers from sparse boundary matrices.
 
     Each boundary matrix is reduced by unit-pivot elimination, and only the
-    block that remains gets a dense Smith normal form (:func:`sparse_invariants`).
+    block left gets a dense smallest-entry Smith form (:func:`sparse_invariants`).
     Deterministic.  ``max_simplices`` caps both the total face count and the
     entries of each leftover dense block; going past either raises
     ResourceCapExceeded.

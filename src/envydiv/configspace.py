@@ -159,14 +159,16 @@ class ConfigPoint:
         return tuple(sorted((box, tile) for tile, box in self.allocation))
 
     def boxes(self) -> dict[int, tuple[int, ...]]:
-        """Box label -> sorted tiles it holds (occupied boxes only)."""
+        """Box label -> sorted tiles it holds (occupied boxes only); only the
+        tests read it, as the independent reference for psi's box rules."""
         out: dict[int, list[int]] = {}
         for tile, box in self.allocation:
             out.setdefault(box, []).append(tile)
         return {b: tuple(sorted(ts)) for b, ts in out.items()}
 
     def box_lengths(self) -> tuple[float, ...]:
-        """Total essential length inside each box, indexed 0..r-1."""
+        """Total essential length inside each box, indexed 0..r-1; only the tests
+        read it, as the independent reference for ``piecewise_random``'s box map."""
         lengths = self.cut.lengths
         totals = [0.0] * self.r
         for tile, box in self.allocation:

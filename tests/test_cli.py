@@ -116,6 +116,15 @@ def test_nan_tolerance_exits_4(capsys, hungry_new):
     assert json.loads(out)["input_error"]
 
 
+def test_negative_coarse_budget_exits_4(capsys, hungry_new):
+    # a negative budget is bad input, not a budget the search went past
+    code, out = run(
+        capsys, ["solve", "--r", "3", "--space", "c1", "--prefs", hungry_new, "--coarse-budget", "-1"]
+    )
+    assert code == 4
+    assert json.loads(out)["input_error"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -124,8 +133,10 @@ def test_nan_tolerance_exits_4(capsys, hungry_new):
         ["solve", "--r", "3", "--space", "c9", "--prefs", "p.json"],
         ["solve", "--r", "x", "--space", "c1", "--prefs", "p.json"],
         ["solve", "--r", "3", "--space", "c1"],
+        # a negative cap is bad input, not a cap the computation went past
+        ["topology", "--complex", "chessboard", "--m", "3", "--n", "3", "--max-simplices", "-5"],
     ],
-    ids=["no-command", "demo", "space", "r", "prefs"],
+    ids=["no-command", "demo", "space", "r", "prefs", "max-simplices"],
 )
 def test_usage_errors_exit_4(capsys, argv):
     # argparse's own exit code, 2, means an exhausted budget here
@@ -195,6 +206,15 @@ def test_topology_resource_cap_exits_5(capsys):
     code, out = run(
         capsys,
         ["topology", "--complex", "chessboard", "--m", "4", "--n", "4", "--max-simplices", "10"],
+    )
+    assert code == 5
+    assert json.loads(out)["resource_cap"]
+
+
+def test_topology_zero_cap_is_a_cap_exits_5(capsys):
+    code, out = run(
+        capsys,
+        ["topology", "--complex", "chessboard", "--m", "3", "--n", "3", "--max-simplices", "0"],
     )
     assert code == 5
     assert json.loads(out)["resource_cap"]

@@ -1,7 +1,8 @@
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from envydiv.complexes import (
@@ -164,6 +165,67 @@ def test_smith_invariants_known_matrices():
     assert smith_invariants([[2]]) == [2]
 
 
+# A divisibility restart made this matrix's entries grow without end, past
+# millions of bits; smallest-entry pivoting finishes it at once.
+_RESTART_BLOWUP = [
+    [2, 6, 3, 1, 6, -2, -2],
+    [3, 0, 0, -1, 3, -2, -1],
+    [1, 2, 0, 3, 0, 1, -2],
+    [6, 3, -2, 3, 1, 0, -2],
+    [2, -1, 0, 2, 6, 1, 3],
+    [3, 0, 2, -1, 1, 3, -2],
+    [6, -1, 0, 0, -1, 2, -1],
+]
+
+
+def test_smith_invariants_finish_the_restart_blowup_matrix():
+    assert smith_invariants(_RESTART_BLOWUP) == [1] * 6 + [17179]
+    assert sparse_invariants(_columns(_RESTART_BLOWUP)) == [1] * 6 + [17179]
+
+
+def _det(rows):
+    """Exact determinant by the Leibniz formula, sharing no code with the Smith form."""
+    return sum(
+        (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
+        * math.prod(row[j] for row, j in zip(rows, order))
+        for order in itertools.permutations(range(len(rows)))
+    )
+
+
+def _determinantal_divisors(matrix):
+    """d_k = D_k / D_(k-1), with D_k the gcd of the k x k minors, while D_k != 0."""
+    out, previous = [], 1
+    for k in range(1, min(len(matrix), len(matrix[0])) + 1):
+        d_k = 0
+        for rows in itertools.combinations(matrix, k):
+            for cols in itertools.combinations(range(len(matrix[0])), k):
+                d_k = math.gcd(d_k, _det([[row[j] for j in cols] for row in rows]))
+        if d_k == 0:
+            break
+        out.append(d_k // previous)
+        previous = d_k
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            # mostly non-units, so many matrices have no unit entry to pivot on
+            st.lists(st.sampled_from([0, 2, -2, 3, -3, 4, 6, -9]), min_size=n, max_size=n),
+            min_size=1,
+            max_size=5,
+        )
+    )
+)
+def test_smith_invariants_match_determinantal_divisors(matrix):
+    before = [row[:] for row in matrix]
+    invariants = smith_invariants(matrix)
+    assert matrix == before
+    assert invariants == _determinantal_divisors(matrix)
+    assert all(b % a == 0 for a, b in zip(invariants, invariants[1:]))
+
+
 def _columns(matrix):
     n_cols = len(matrix[0]) if matrix else 0
     return [{i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(n_cols)]
@@ -179,6 +241,7 @@ def _columns(matrix):
         )
     )
 )
+@example(_RESTART_BLOWUP)
 def test_sparse_invariants_match_dense_smith_form(matrix):
     assert sparse_invariants(_columns(matrix)) == smith_invariants(matrix)
 

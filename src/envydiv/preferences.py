@@ -21,6 +21,7 @@ Every score row is read through ``_row``: the player's ``raw`` scores,
 normalized by ``_normalized``, which rejects negative, NaN and infinite
 scores, and checked to hold one score per box (new-style) or tile
 (old-style), so a row of the wrong length names the player and the count.
+``_rows`` reads every player's row at one point the same way, in one pass.
 The hot loops work on these plain rows, a list per player, because at
 r <= 8 an array costs more to build than the arithmetic it would hold:
 the sample loops of ``validate`` (covering, equivariance, p_dte, p_pe),
@@ -42,7 +43,8 @@ heuristic stand-in.
 
 Every new-style oracle the library builds, the built-ins and the
 ``reductions`` lifts, is a ``BoxOracle``: box-label blind by construction,
-so ``validate`` samples the equivariance of other oracles only.
+so ``validate`` samples the equivariance of other oracles only.  It sorts
+the tiles of a point into boxes once for the r players who query it in turn.
 
 Covering is per player: a sample violates it when any one player accepts
 no box there, because every player's preferred sets must cover the space.
@@ -61,7 +63,9 @@ samples depend only on the check, the board or tile count, the sample
 count and the seed, so ``validate`` draws each such plan once per process
 (``_plan``, up to 64 plans of at most ``MAX_PLAN_SAMPLES`` samples) and
 replays it; the seed still selects the stream, and the points are those
-the stream gives, bit for bit.
+the stream gives, bit for bit.  A plan keeps each point as built, its
+cut-points and the box of each tile, which longer runs build from too, so
+a replay decodes no facet and sums no weights into a cut.
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ from .configspace import (
     ZPoint,
     _barycentric_point,
     _face_point,
+    _known_points,
     point_from_barycentric,
 )
 
@@ -152,19 +157,19 @@ def _normalized(raw) -> list[float]:
     A negative score raises, and so does a NaN or infinite one, which would
     otherwise pass every ``> PREFERENCE_TOL`` test as a score nobody wants,
     and so do finite scores whose sum overflows.  A finite sum rules out
-    NaN and infinite scores, so a row with a finite sum and no negative
-    score is normalized at once; only other rows go through the checks.
+    NaN and infinite scores, so a row with a positive finite sum and no
+    negative score is normalized at once; other rows go through the checks.
     """
     row = list(map(float, raw))
     try:
         total = math.fsum(row)
     except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
         total = math.nan
+    if 0.0 < total < math.inf and min(row) >= 0.0:
+        return [v / total for v in row]
     if not (math.isfinite(total) and min(row, default=0.0) >= 0.0):
         _reject(row)
-    if total <= 0.0:
-        return [0.0] * len(row)
-    return [v / total for v in row]
+    return [0.0] * len(row)  # finite, non-negative and summing to zero
 
 
 def _reject(row: list[float]):
@@ -199,8 +204,16 @@ def _accepting_row(prefs: PreferenceMatrix, player: int, domain) -> list[float]:
 
 
 def _rows(prefs: PreferenceMatrix, domain) -> list[list[float]]:
-    """Every player's ``_row`` at one point, player j in row j-1."""
-    return [_row(prefs, j, domain) for j in range(1, prefs.r + 1)]
+    """Every player's ``_row`` at one point, player j in row j-1, in one
+    pass: a row of the wrong length raises before the next player is asked."""
+    raw, r = prefs.raw, prefs.r
+    rows = []
+    for player in range(1, r + 1):
+        row = _normalized(raw(player, domain))
+        if len(row) != r:
+            raise ValueError(f"oracle returned {len(row)} scores for player {player}, expected {r}")
+        rows.append(row)
+    return rows
 
 
 def score_matrix(prefs: PreferenceMatrix, point) -> np.ndarray:
@@ -260,31 +273,40 @@ class BoxOracle:
         self.r = r
 
     def __call__(self, player: int, point: ConfigPoint) -> list[float]:
-        if point.r != self.r:
-            raise ValueError(f"expected a point with {self.r} boxes, got {point.r}")
-        at_cut = _at_cut(self, point.cut)
+        oracle, last, contents, at_cut = _at_point
+        if oracle is not self or last is not point:
+            if point.r != self.r:
+                raise ValueError(f"expected a point with {self.r} boxes, got {point.r}")
+            at_cut = _at_cut(self, point.cut)
+            held = [()] * self.r
+            for tile, box in point.allocation:
+                held[box - 1] += (tile,)
+            empty = held.count(())
+            contents = [(tiles, empty) for tiles in held]
+            _at_point[:] = self, point, contents, at_cut
         found = at_cut.get(player)
         if found is None:
             found = at_cut[player] = (self.box(player, point.cut), {})
         score, scored = found
-        held = [()] * self.r
-        for tile, box in point.allocation:
-            held[box - 1] += (tile,)
-        empty = held.count(())
         out = []
-        for tiles in held:
-            value = scored.get((tiles, empty))
+        for content in contents:
+            value = scored.get(content)
             if value is None:
-                value = scored[tiles, empty] = score(tiles, empty)
+                value = scored[content] = score(*content)
             out.append(value)
         return out
 
 
-@lru_cache(maxsize=1)  # the r players query one point in turn
+@lru_cache(maxsize=1)  # the points of one cut, such as its relabellings, come in turn
 def _at_cut(oracle: BoxOracle, cut: Cut) -> dict:
     """player -> (scorer, {(tiles, empty boxes): score}) at the last oracle
     and cut queried; an equal cut built anew has the same lengths."""
     return {}
+
+
+#: the last oracle and point queried, its box contents (tiles, empty boxes) and
+#: ``_at_cut`` entry; holding both objects keeps their ids from being reused
+_at_point = [None, None, None, None]
 
 
 def _content(z, tiles) -> float:
@@ -575,60 +597,75 @@ MAX_PLAN_SAMPLES = 400
 
 
 def _draws(shape: str, domain, sample_count: int, seed: int):
-    """Every sample's draws of one property shape, in the order the seeded
-    stream makes them: (facet index, weights, extra) per sample.
+    """Every sample of one property shape, in the order the seeded stream
+    draws it: (x, boxes, extra) per sample.
 
     ``domain`` is the board of a new-style oracle, whose samples are points
-    on a facet drawn by index with its barycentric weights, or the tile
-    count r of an old-style one, whose samples are tile lengths z (the
-    weights; no facet).  Degenerate tiles are forced on odd samples, and on
-    every sample of ``p_dte`` and ``p_pe``.  The extra draw is the
-    relabelling of ``equivariance`` (a 0-based permutation of the boxes),
-    the re-padded z of ``p_pe``, or the weight move of ``continuity``: one
-    normal draw per support weight of the point, padded with NaN to the
-    width of the weights.  ``covering`` and ``p_dte`` draw no extra.
+    on a facet drawn by index with its barycentric weights, given as built:
+    x holds the point's cut-points and boxes the box of each tile (0 for a
+    degenerate tile).  For an old-style oracle ``domain`` is the tile count
+    r, x the tile lengths z and boxes None.  Degenerate tiles are forced on
+    odd samples, and on every sample of ``p_dte`` and ``p_pe``.  The extra
+    draw is the relabelling of ``equivariance`` (a 0-based permutation of
+    the boxes), the re-padded z of ``p_pe``, or the weight move of
+    ``continuity``: one normal draw per support weight of the point, padded
+    with NaN to the width of the weights.  ``covering`` and ``p_dte`` draw
+    no extra.
     """
     rng = np.random.default_rng(seed)
     old = not isinstance(domain, Variant)
     n_facets = None if old else complexes.facet_count(domain)
     width = domain if old else len(complexes.facet_at(domain, 0))
     for i in range(sample_count):
-        facet = None if old else int(rng.integers(0, n_facets))
-        w = sample_lengths(rng, width, shape in ("p_dte", "p_pe") or i % 2 == 1)
+        facet = None if old else complexes.facet_at(domain, int(rng.integers(0, n_facets)))
+        x = sample_lengths(rng, width, shape in ("p_dte", "p_pe") or i % 2 == 1)
+        boxes, support = None, width
+        if not old:
+            point = _barycentric_point(domain, facet, x)
+            box_of = dict(point.allocation)
+            x, support = point.cut.points, len(box_of)
+            boxes = [box_of.get(tile, 0) for tile in range(1, domain.cols + 1)]
         extra = None
         if shape == "equivariance":
             extra = rng.permutation(domain.rows).tolist()
         elif shape == "p_pe":
-            extra = _repad_zeros(rng, w)
+            extra = _repad_zeros(rng, x)
         elif shape == "continuity":
-            support = width
-            if not old:
-                support = len(_barycentric_point(domain, complexes.facet_at(domain, facet), w).allocation)
             extra = rng.normal(scale=1e-6, size=support).tolist() + [math.nan] * (width - support)
-        yield facet, w, extra
+        yield x, boxes, extra
 
 
 @lru_cache(maxsize=64)
 def _plan(shape: str, domain, sample_count: int, seed: int) -> tuple:
-    """``_draws`` as read-only columns, one row per sample: facet indices,
-    weights and extras, with None for a column the shape does not draw."""
+    """``_draws`` as read-only columns, one row per sample: x in float64,
+    boxes in the smallest unsigned type that holds a box label, and extras,
+    with None for a column the shape or oracle kind does not draw."""
     plan = []
-    for column in zip(*_draws(shape, domain, sample_count, seed)):
+    labels = np.min_scalar_type(domain.rows) if isinstance(domain, Variant) else None
+    for column, dtype in zip(zip(*_draws(shape, domain, sample_count, seed)), (np.float64, labels, None)):
         array = None
         if column[0] is not None:
-            array = np.array(column)
+            array = np.array(column, dtype=dtype)
             array.flags.writeable = False
         plan.append(array)
     return tuple(plan)
 
 
 def _samples(shape: str, domain, sample_count: int, seed: int):
-    """The draws of ``_draws``, replayed from the memoized plan when the
-    run is at most ``MAX_PLAN_SAMPLES`` long and streamed otherwise."""
+    """(point or z, extra) per sample of ``_draws``, replayed from the
+    memoized plan when the run is at most ``MAX_PLAN_SAMPLES`` long and
+    streamed otherwise; either way a point is built from its two columns."""
     if sample_count > MAX_PLAN_SAMPLES:
-        return _draws(shape, domain, sample_count, seed)
-    plan = _plan(shape, domain, sample_count, seed)
-    return zip(*(repeat(None) if column is None else column.tolist() for column in plan))
+        draws = _draws(shape, domain, sample_count, seed)
+    else:
+        plan = _plan(shape, domain, sample_count, seed)
+        draws = zip(*(repeat(None) if column is None else column.tolist() for column in plan))
+    if not isinstance(domain, Variant):
+        return ((z, extra) for z, _, extra in draws)
+    return (
+        (_face_point(domain, _known_points(tuple(x)), tuple((t, b) for t, b in enumerate(boxes, 1) if b)), extra)
+        for x, boxes, extra in draws
+    )
 
 
 def validate(
@@ -650,12 +687,14 @@ def validate(
     The draws depend only on the property's shape, the board (or tile
     count), ``sample_count`` and ``seed``, never on the oracle, so a run
     of at most ``MAX_PLAN_SAMPLES`` samples replays a plan drawn once per
-    process (``_plan``, at most 64 kept).  A plan holds per sample a facet
-    index, w weights and an extra of r (relabelling, re-padded z) or w
-    (weight move) numbers, 8 bytes each, where w is the facet size or the
-    tile count: at worst 64 x 400 x 8 x (1 + w + max(r, w)) bytes in all,
-    3.5 MB at r = w = 8.  Longer runs draw their samples as they go, from
-    the same generator.  The seed must be a non-negative integer.
+    process (``_plan``, at most 64 kept).  A plan holds per sample c - 1
+    cut-points (8 bytes each) and c box labels (1 byte each up to 255
+    boxes) on a board of c tiles, or r tile lengths (8 bytes each), and an
+    extra of r (relabelling, re-padded z) or w (weight move) 8-byte numbers,
+    w the facet size or tile count: on a board at worst 64 x 400 x
+    (8(c - 1) + c + 8 max(r, w)) bytes in all, 4.9 MB at c2 r = 8.  Longer
+    runs draw their samples as they go, from the same generator.  The seed
+    must be a non-negative integer.
     """
     if property not in VALIDATION_PROPERTIES:
         raise ValueError(f"unknown property {property!r}")
@@ -676,8 +715,7 @@ def validate(
     violations = []
     max_dev = 0.0
 
-    for facet, w, extra in _samples(shape, space, sample_count, int(seed)):
-        point = w if facet is None else _barycentric_point(variant, complexes.facet_at(variant, facet), w)
+    for point, extra in _samples(shape, space, sample_count, int(seed)):
         if property == "covering":
             domain = _domain(prefs, point)
             # player by player, stopping at the first who accepts no box

@@ -27,7 +27,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -92,7 +92,7 @@ class SearchOptions:
     seed: int = 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class StochasticMatrix:
     """Per-player box scores (rows) with their per-box averages.
 
@@ -119,7 +119,7 @@ class StochasticMatrix:
     def r(self) -> int:
         return self.entries.shape[0]
 
-    @cached_property
+    @property
     def averages(self) -> np.ndarray:
         return self.entries.mean(axis=0)
 
@@ -568,7 +568,7 @@ def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | N
 # divisions
 
 
-@dataclass
+@dataclass(slots=True)
 class EnvyFreeDivision:
     """A verified division: point, score matrix, assignment and certificate."""
 
@@ -576,11 +576,16 @@ class EnvyFreeDivision:
     matrix: StochasticMatrix
     assignment: tuple[int, ...]  # assignment[j-1] = box handed to player j
     residual: float
-    certificate: list[list[bool]]
 
     def __post_init__(self):
         if sorted(self.assignment) != list(range(1, len(self.assignment) + 1)):
             raise ValueError(f"assignment {self.assignment} is not a permutation")
+
+    @property
+    def certificate(self) -> list[list[bool]]:
+        """Which boxes each player prefers: row j-1 marks the boxes player j
+        scores above ``PREFERENCE_TOL`` in the matrix."""
+        return [[bool(v > PREFERENCE_TOL) for v in row] for row in self.matrix.entries]
 
     def min_assigned_score(self) -> float:
         e = self.matrix.entries
@@ -670,8 +675,7 @@ def solve(
         )
     matrix = average_matrix(prefs, result.point)
     assignment = bottleneck_assignment(matrix)
-    certificate = [[bool(v > PREFERENCE_TOL) for v in row] for row in matrix.entries]
-    division = EnvyFreeDivision(result.point, matrix, assignment, matrix.residual, certificate)
+    division = EnvyFreeDivision(result.point, matrix, assignment, matrix.residual)
     if not verify_division(division, prefs):
         raise MatchingError("extracted assignment failed verification")
     return division
@@ -695,7 +699,7 @@ def verify_division(division: EnvyFreeDivision, prefs: PreferenceMatrix) -> bool
 # exhaustive oracle
 
 
-@dataclass
+@dataclass(slots=True)
 class BruteForceResult:
     """Best division over a finite scan, or a certificate that none clears
     the preference threshold on the scanned set."""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,6 @@ from envydiv.complexes import facet_at, for_space, gorbushka_join, join_power
 from envydiv.configspace import (
     DEGENERACY_TOL,
     Cut,
-    _barycentric_point,
     _face_point,
     act,
     canonicalize,
@@ -26,11 +26,12 @@ from envydiv.preferences import (
     BoxOracle,
     PreferenceMatrix,
     _normalized,
-    _draws,
     _PiecewiseTable,
     _plan,
     _random_tables,
     _repad_zeros,
+    _row,
+    _rows,
     _samples,
     _uniform_simplex,
     load_preference_file,
@@ -518,6 +519,91 @@ def test_relabelled_rows_are_the_permuted_rows_bit_for_bit(model, space, r):
             assert [v.hex() for v in warm] == [v.hex() for v in want] == [v.hex() for v in cold]
 
 
+def _wrapped(prefs):
+    """A copy of ``prefs`` whose ``raw`` is a closure around the oracle's,
+    as a caller's counter would be, and the players it was asked for."""
+    asked = []
+    raw = prefs.raw
+
+    def counting(player, point):
+        asked.append(player)
+        return raw(player, point)
+
+    return dataclasses.replace(prefs, raw=counting), asked
+
+
+def _rebuilt(point):
+    """An equal point built anew by value: another object, cut included."""
+    return _face_point(point.variant, Cut(point.cut.points), point.allocation)
+
+
+@pytest.mark.parametrize(
+    "model, space, r",
+    [(model, space, r) for model in BUILTIN_MODELS for space in ("c1", "c2", "c3") for r in range(2, 6)]
+    + [("psi", "c1", r) for r in range(2, 6)]
+    + [("phi", "c2", r) for r in range(2, 6)],
+)
+def test_row_pass_is_the_rows_one_by_one_bit_for_bit(model, space, r):
+    # against each player read alone at the point, and at an equal point
+    # built anew for every player, which no memo of a point object reaches
+    prefs = _box_oracle(model, space, r)
+    wrapped, asked = _wrapped(prefs)
+    points = [point for point, _ in _samples("equivariance", prefs.variant, 40, r)]
+    for point in points + [act(tuple(range(r, 0, -1)), point) for point in points[:10]]:
+        rows = _rows(prefs, point)
+        one_by_one = [_row(prefs, j, point) for j in range(1, r + 1)]
+        fresh = [_row(prefs, j, _rebuilt(point)) for j in range(1, r + 1)]
+        del asked[:]
+        assert _bits(_rows(wrapped, point)) == _bits(rows) == _bits(one_by_one) == _bits(fresh)
+        assert asked == list(range(1, r + 1))
+        del asked[:]
+        assert _bits([_row(wrapped, j, point) for j in range(1, r + 1)]) == _bits(rows)
+        assert asked == list(range(1, r + 1))
+
+
+@pytest.mark.parametrize("space", ["c1", "c2", "c3"])
+def test_row_pass_holds_between_interleaved_queries(space):
+    # another oracle at the same point object, an equal point built by
+    # value, another cut: each between the players of one point, and each
+    # row read as an oracle that saw nothing before reads it
+    r = 4
+    variant = for_space(space, r)
+
+    def oracles():
+        return [
+            make_builtin("piecewise_random", r, kind=NEW, variant=variant, seed=1),
+            make_builtin("piecewise_random", r, kind=NEW, variant=variant, seed=2),
+            make_builtin("hungry", r, kind=NEW, variant=variant),
+        ]
+
+    first, other, third = oracles()
+    points = [point for point, _ in _samples("covering", variant, 30, 4)]
+    for point, elsewhere in zip(points, points[1:] + points[:1]):
+        again = _rebuilt(point)
+        got = {}
+        for j in range(1, r + 1):
+            for key, prefs, at in (
+                ("first", first, point),
+                ("other", other, point),
+                ("third", third, point),
+                ("again", first, again),
+                ("elsewhere", first, elsewhere),
+                ("first", first, point),
+            ):
+                got.setdefault(key, []).append(_row(prefs, j, at))
+        got["rows"] = _rows(first, point)
+
+        def fresh(prefs, at):
+            return [_row(prefs, j, _rebuilt(at)) for j in range(1, r + 1)]
+
+        fresh_first, fresh_other, fresh_third = oracles()
+        want = {"first": fresh(fresh_first, point) * 2, "other": fresh(fresh_other, point)}
+        want.update(third=fresh(fresh_third, point), elsewhere=fresh(fresh_first, elsewhere))
+        want["again"] = want["rows"] = want["first"][:r]
+        got["first"] = got["first"][0::2] + got["first"][1::2]
+        assert {key: _bits(rows) for key, rows in got.items()} == {key: _bits(rows) for key, rows in want.items()}
+
+
 def _table_reference(table, z):
     """``_PiecewiseTable.__call__`` as first written: bisect, then interpolate."""
     z = min(max(z, 0.0), 1.0)
@@ -668,6 +754,27 @@ def test_normalized_keeps_its_messages_on_edge_rows(row, message):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([2.0, -1.0], "oracle produced a negative score: [2.0, -1.0]"),
+        ([-0.5, 0.5], "oracle produced a negative score: [-0.5, 0.5]"),
+        ([-INF], "oracle produced a negative score: [-inf]"),
+        ([NAN], "oracle produced a non-finite score: [nan]"),
+        ([1.0, NAN], "oracle produced a non-finite score: [1.0, nan]"),
+        ([1.0, INF], "oracle produced a non-finite score: [1.0, inf]"),
+        ([1e308, 1e308, 1.0], "oracle scores overflow in their sum: [1e+308, 1e+308, 1.0]"),
+    ],
+)
+def test_normalized_fall_back_rejects_what_the_fast_path_lets_through(row, message):
+    # rows whose sum is finite and positive but hold a negative score, and
+    # rows whose sum is not finite and positive, each with the reference's error
+    for rejecting in (_normalized, _normalized_reference):
+        with pytest.raises(ValueError) as raised:
+            rejecting(row)
+        assert str(raised.value) == message
+
+
 def test_normalized_keeps_zero_and_empty_rows():
     assert _normalized([0.0, 0, -0.0]) == [0.0, 0.0, 0.0]
     assert _normalized([]) == []
@@ -724,7 +831,7 @@ PLAN_SPACES = [for_space(space, r) for space in ("c1", "c2", "c3") for r in rang
 
 @pytest.mark.parametrize("space", PLAN_SPACES, ids=str)
 @pytest.mark.parametrize("sample_count", [120, 200])
-def test_replayed_plans_are_the_live_draws(space, sample_count):
+def test_replayed_plans_are_the_live_draws(space, sample_count, monkeypatch):
     # every shape, bit for bit: the points rebuilt from a memoized plan,
     # a second replay of it, and the stream past the bound
     old = isinstance(space, int)
@@ -732,15 +839,18 @@ def test_replayed_plans_are_the_live_draws(space, sample_count):
     for shape in shapes:
         want = _reference_draws(shape, space, sample_count, seed=3)
         runs = [list(_samples(shape, space, sample_count, 3)) for _ in range(2)]
-        runs.append(list(_draws(shape, space, sample_count, 3)))
+        with monkeypatch.context() as patched:
+            patched.setattr(preferences, "MAX_PLAN_SAMPLES", sample_count - 1)
+            runs.append(list(_samples(shape, space, sample_count, 3)))
         for run in runs:
             assert len(run) == sample_count
-            for (facet, w, extra), (point, ref_extra) in zip(run, want):
+            for (got, extra), (point, ref_extra) in zip(run, want):
                 if old:
-                    assert facet is None and _bits(w) == _bits(point)
+                    assert _bits(got) == _bits(point)
                 else:
-                    got = _barycentric_point(space, facet_at(space, facet), w)
-                    assert got == point and _bits(got.cut.lengths) == _bits(point.cut.lengths)
+                    assert got == point and got.variant is space
+                    assert _bits(got.cut.points) == _bits(point.cut.points)
+                    assert _bits(got.cut.lengths) == _bits(point.cut.lengths)
                 if shape == "continuity":
                     assert _bits(extra[: len(ref_extra)]) == _bits(ref_extra)
                     assert all(math.isnan(v) for v in extra[len(ref_extra):])
@@ -778,13 +888,31 @@ def test_a_run_past_the_bound_streams_and_reports_as_a_replayed_run(monkeypatch)
 
 
 def test_plan_arrays_are_read_only():
+    # cut-points or tile lengths, box labels (new-style only) and extras
     for shape, space in (("equivariance", for_space("c3", 3)), ("p_pe", 3), ("continuity", for_space("c2", 2))):
         columns = [column for column in _plan(shape, space, 20, 0) if column is not None]
         assert len(columns) == (2 if isinstance(space, int) else 3)
+        assert columns[0].dtype == np.float64
+        if not isinstance(space, int):
+            assert columns[1].dtype == np.uint8
         for column in columns:
             assert not column.flags.writeable
             with pytest.raises(ValueError):
                 column[0] = column[1]
+
+
+def test_a_c2_r8_plan_stores_the_bytes_validate_states():
+    # 8(c - 1) + c + 8 max(r, w) bytes per sample at c = 15 tiles, r = 8
+    # boxes and facets of w = 8 cells: 191, so 64 plans of 400 hold 4.9 MB
+    variant = for_space("c2", 8)
+    c, r, w = variant.cols, variant.rows, len(facet_at(variant, 0))
+    bound = 8 * (c - 1) + c + 8 * max(r, w)
+    assert bound == 191 and 64 * MAX_PLAN_SAMPLES * bound == 4_889_600
+    stored = {}
+    for shape in ("covering", "equivariance", "continuity"):
+        plan = _plan(shape, variant, MAX_PLAN_SAMPLES, 0)
+        stored[shape] = sum(column.nbytes for column in plan if column is not None) / MAX_PLAN_SAMPLES
+    assert stored == {"covering": 8 * (c - 1) + c, "equivariance": bound, "continuity": bound}
 
 
 @pytest.mark.parametrize("seed", [1.0, 1.5, "0", None, -1, True, np.random.default_rng(0)], ids=repr)

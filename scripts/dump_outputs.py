@@ -23,11 +23,13 @@ zeros per grid, not the evaluation count) on the boards of the benchmark's
 native solves and on c2 r=5, c3 r=5, c1 r=7, c3 r=6, c2 r=8, c2 r=6 and
 c2 r=7 ``piecewise_random`` seed 0, and then the reduced homology and
 face counts of the benchmark's topology boards, of chessboards 4x7, 5x6
-and 5x7, and of ``gorbushka_join(5)`` and ``join_power(5)``.  Three
+and 5x7, and of ``gorbushka_join(5)`` and ``join_power(5)``.  Five
 refusals close it: psi and phi lifts of a source that fails p_dte and
-p_pe, and a solve of ``hungry`` on c1 r=3 whose player 2 accepts nothing
-at the search's grid cut (0.25, 0.5).  A run that raises prints the
-exception instead.  Run it on two source trees and diff the
+p_pe, a solve of ``hungry`` on c1 r=3 whose player 2 accepts nothing at
+the search's grid cut (0.25, 0.5), and solves of the psi lift onto c1 and
+the phi lift onto c2, r=3, of a ``hungry`` source whose player 2 accepts
+nothing at the tile lengths (0.25, 0.25, 0.5).  A run that raises prints
+the exception instead.  Run it on two source trees and diff the
 outputs:
 
     PYTHONPATH=src python scripts/dump_outputs.py > after.txt
@@ -247,6 +249,16 @@ def _dump_refusals() -> None:
 
     refusing = preferences.PreferenceMatrix(r=3, kind="new", model="refusing", raw=raw, variant=variant)
     print(f"solve c1 r=3 refusing at (0.25, 0.5) {_json(lambda: solver.solve(variant, refusing))}")
+    tiles = preferences.make_builtin("hungry", 3)
+
+    def source_raw(player, z):
+        return [0.0] * 3 if player == 2 and tuple(z) == (0.25, 0.25, 0.5) else tiles.raw(player, z)
+
+    source = preferences.PreferenceMatrix(r=3, kind="old", model="refusing", raw=source_raw)
+    lifts = [("psi", "c1", lambda: reductions.psi(source, tiles.params["margin"])), ("phi", "c2", lambda: reductions.phi(source))]
+    for name, space, lift in lifts:
+        run = lambda: solver.solve(complexes.for_space(space, 3), lift())  # noqa: E731
+        print(f"solve {name}(refusing) {space} r=3 source refusing at (0.25, 0.25, 0.5) {_json(run)}")
 
 
 def _lifted_solve(lift, space, r, source):

@@ -118,12 +118,18 @@ def partition_equivalent(a: Cut, b: Cut) -> bool:
     A degenerate tile may be up to ``DEGENERACY_TOL`` long, so moving the
     degenerate tiles shifts an essential one by as much as their total:
     the ends agree within ``DEGENERACY_TOL`` plus both cuts' degenerate length.
+    Here alone a tile up to c ulps of 1 over the tolerance, on a cut of c
+    tiles, is degenerate too: ``z_to_cut`` rounds a re-padded one over it.
     """
-    (deg_a, ess_a), (deg_b, ess_b) = degenerate_and_essential(a), degenerate_and_essential(b)
-    slack = DEGENERACY_TOL + math.fsum([a.lengths[t - 1] for t in deg_a] + [b.lengths[t - 1] for t in deg_b])
-    return len(ess_a) == len(ess_b) and all(
-        abs(x[0] - y[0]) <= slack and abs(x[1] - y[1]) <= slack for (x, _), (y, _) in zip(ess_a, ess_b)
-    )
+    degenerate, essential = [], []
+    for cut in (a, b):
+        limit = DEGENERACY_TOL + cut.tile_count * 2.0**-52
+        bounds = (0.0,) + cut.points + (1.0,)
+        degenerate += [v for v in cut.lengths if v <= limit]
+        essential.append([(x, y) for x, y, v in zip(bounds, bounds[1:], cut.lengths) if v > limit])
+    slack = DEGENERACY_TOL + math.fsum(degenerate)
+    ess_a, ess_b = essential
+    return len(ess_a) == len(ess_b) and all(abs(p - q) <= slack for x, y in zip(ess_a, ess_b) for p, q in zip(x, y))
 
 
 @dataclass(frozen=True, slots=True)

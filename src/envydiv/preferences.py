@@ -17,21 +17,18 @@ Built-in models:
 * ``piecewise_random`` -- seeded piecewise-linear scores with a positive
   floor, covering and box-label-blind by construction.
 
-Every score row is read through ``_row``: the player's ``raw`` scores,
-normalized by ``_normalized``, which rejects negative, NaN and infinite
-scores, and checked to hold one score per box (new-style) or tile
-(old-style), so a row of the wrong length names the player and the count.
-``_rows`` reads every player's row at one point the same way, in one pass.
-The hot loops work on these plain rows, a list per player, because at
-r <= 8 an array costs more to build than the arithmetic it would hold:
-the sample loops of ``validate`` (covering, equivariance, p_dte, p_pe),
-the search's test map and averaging, brute force (which gathers many
-points' rows into one array) and the sources of the ``reductions`` lifts.
-``score_matrix`` stacks every player's row at one checked point into an
-array, for verification and the ``continuity`` check; ``scores`` is its
-one-row case.  Points are checked where they enter from outside, in the
-public constructors of ``configspace``; the hot loops build points and
-cuts on faces they already know without the checks.
+Every score row is read through ``_row`` (one player) or ``_rows`` (every
+player at one point, in one pass): the ``raw`` scores, normalized by
+``_normalized``, which rejects negative, NaN and infinite scores, and
+checked to hold one score per box (new-style) or tile (old-style), so a
+row of the wrong length names the player and the count.  The hot loops
+work on these plain rows, a list per player, because at r <= 8 an array
+costs more to build than the arithmetic it would hold.  ``score_matrix``
+stacks the rows at one checked point into an array, for verification and
+the ``continuity`` check; ``scores`` is its one-row case.  Points are
+checked where they enter from outside, in the public constructors of
+``configspace``; the hot loops build points and cuts on faces they already
+know without the checks.
 
 Oracles must be pure and deterministic per (player, point): the solver
 evaluates them one at a time, in one thread, and reuses the averages it
@@ -43,8 +40,7 @@ heuristic stand-in.
 
 Every new-style oracle the library builds, the built-ins and the
 ``reductions`` lifts, is a ``BoxOracle``: box-label blind by construction,
-so ``validate`` samples the equivariance of other oracles only.  It sorts
-the tiles of a point into boxes once for the r players who query it in turn.
+so ``validate`` samples the equivariance of other oracles only.
 
 Covering is per player: a sample violates it when any one player accepts
 no box there, because every player's preferred sets must cover the space.
@@ -56,16 +52,17 @@ Where checks run: ``require_axioms`` is the one gate of the sampled
 checks.  ``solve`` and ``brute_force`` pass their oracle through it, and
 each lift its source, once, before the first query; it names the first
 failing axiom and its count.  Past the gate, the search, ``average_matrix``
-and the lifts' source queries read rows through ``_accepting_row``, which
-raises the same ``PreferenceValidationError`` for a player who accepts
-nothing at the point: a covering failure that no sample drew.  The gate's
-samples depend only on the check, the board or tile count, the sample
-count and the seed, so ``validate`` draws each such plan once per process
-(``_plan``, up to 64 plans of at most ``MAX_PLAN_SAMPLES`` samples) and
-replays it; the seed still selects the stream, and the points are those
-the stream gives, bit for bit.  A plan keeps each point as built, its
-cut-points and the box of each tile, which longer runs build from too, so
-a replay decodes no facet and sums no weights into a cut.
+and the lifts' source queries read every player's row at a point through
+``_accepting_rows``, which raises the same ``PreferenceValidationError``
+for the first player who accepts nothing there: a covering failure that no
+sample drew.  The gate's samples depend only on the check, the board or
+tile count, the sample count and the seed, so ``validate`` draws each such
+plan once per process (``_plan``, up to 64 plans of at most
+``MAX_PLAN_SAMPLES`` samples) and replays it; the seed still selects the
+stream, and the points are those the stream gives, bit for bit.  A plan
+keeps each point as built, its cut-points and the box of each tile, which
+longer runs build from too, so a replay decodes no facet and sums no
+weights into a cut.
 """
 
 from __future__ import annotations
@@ -194,15 +191,6 @@ def _row(prefs: PreferenceMatrix, player: int, domain) -> list[float]:
     return row
 
 
-def _accepting_row(prefs: PreferenceMatrix, player: int, domain) -> list[float]:
-    """``_row``, refusing a player who accepts nothing at the point: the
-    covering failure met outside the sampled checks."""
-    row = _row(prefs, player, domain)
-    if not any(row):
-        raise PreferenceValidationError(f"player {player} accepts nothing at {_witness(domain)}")
-    return row
-
-
 def _rows(prefs: PreferenceMatrix, domain) -> list[list[float]]:
     """Every player's ``_row`` at one point, player j in row j-1, in one
     pass: a row of the wrong length raises before the next player is asked."""
@@ -213,6 +201,16 @@ def _rows(prefs: PreferenceMatrix, domain) -> list[list[float]]:
         if len(row) != r:
             raise ValueError(f"oracle returned {len(row)} scores for player {player}, expected {r}")
         rows.append(row)
+    return rows
+
+
+def _accepting_rows(prefs: PreferenceMatrix, domain) -> list[list[float]]:
+    """``_rows``, refusing the first player who accepts nothing at the
+    point: the covering failure met outside the sampled checks."""
+    rows = _rows(prefs, domain)
+    for player, row in enumerate(rows, start=1):
+        if not any(row):
+            raise PreferenceValidationError(f"player {player} accepts nothing at {_witness(domain)}")
     return rows
 
 
@@ -260,34 +258,38 @@ def _plateau(z: float, knee: float) -> float:
 class BoxOracle:
     """A new-style ``raw(player, point)`` that cannot see box labels.
 
-    ``box(player, cut)`` returns the player's scorer at the cut,
-    ``score(tiles, empty_boxes)``: one box's score from the tiles it holds,
-    in tile order, and the number of empty boxes.  No box label reaches it,
-    so relabelling the boxes of a point permutes its row exactly.
+    ``scorers(cut)`` returns every player's scorer at the cut, player j's
+    at index j-1: ``score(tiles, empty_boxes)`` scores one box by the tiles
+    it holds, in tile order, and the number of empty boxes.  No box label
+    reaches it, so relabelling the boxes of a point permutes its row
+    exactly.  The r players of a point query in turn, and the points of a
+    cut, such as its relabellings, come together: ``_memo``, one entry at
+    module level, keeps the scorers of the last oracle and cut queried (an
+    equal cut rebuilt by value counts as the same) and their scores by box
+    content, so an oracle holds no cut.
     """
 
-    __slots__ = ("box", "r")
+    __slots__ = ("scorers", "r")
 
-    def __init__(self, box: Callable, r: int):
-        self.box = box
+    def __init__(self, scorers: Callable, r: int):
+        self.scorers = scorers
         self.r = r
 
     def __call__(self, player: int, point: ConfigPoint) -> list[float]:
-        oracle, last, contents, at_cut = _at_point
+        oracle, last, cut, contents, at_cut = _memo
         if oracle is not self or last is not point:
             if point.r != self.r:
                 raise ValueError(f"expected a point with {self.r} boxes, got {point.r}")
-            at_cut = _at_cut(self, point.cut)
+            if oracle is not self or point.cut != cut:
+                cut = point.cut
+                at_cut = [(score, {}) for score in self.scorers(cut)]
             held = [()] * self.r
             for tile, box in point.allocation:
                 held[box - 1] += (tile,)
             empty = held.count(())
             contents = [(tiles, empty) for tiles in held]
-            _at_point[:] = self, point, contents, at_cut
-        found = at_cut.get(player)
-        if found is None:
-            found = at_cut[player] = (self.box(player, point.cut), {})
-        score, scored = found
+            _memo[:] = self, point, cut, contents, at_cut
+        score, scored = at_cut[player - 1]
         out = []
         for content in contents:
             value = scored.get(content)
@@ -297,16 +299,9 @@ class BoxOracle:
         return out
 
 
-@lru_cache(maxsize=1)  # the points of one cut, such as its relabellings, come in turn
-def _at_cut(oracle: BoxOracle, cut: Cut) -> dict:
-    """player -> (scorer, {(tiles, empty boxes): score}) at the last oracle
-    and cut queried; an equal cut built anew has the same lengths."""
-    return {}
-
-
-#: the last oracle and point queried, its box contents (tiles, empty boxes) and
-#: ``_at_cut`` entry; holding both objects keeps their ids from being reused
-_at_point = [None, None, None, None]
+#: the last oracle, point and cut queried, the point's box contents (tiles, empty boxes), and
+#: per player (scorer, {content: score}); holding the objects keeps their ids from being reused
+_memo = [None, None, None, None, None]
 
 
 def _content(z, tiles) -> float:
@@ -323,29 +318,23 @@ def _by_length(score, param, kind, r):
     if kind == OLD:
         return lambda player, z: [score(v, param) for v in z]
 
-    def box(player, cut):
+    def scorers(cut):
         z = cut.lengths
-        return lambda tiles, empty_boxes: score(_content(z, tiles), param)
+        return [lambda tiles, empty_boxes: score(_content(z, tiles), param)] * r
 
-    return BoxOracle(box, r)
+    return BoxOracle(scorers, r)
 
 
 def _gorbushka_old(width, dte):
     def raw(player, z):
-        first, last = 1, len(z)
-        out = []
-        for label, v in enumerate(z, start=1):
-            score = v if label in (first, last) else 0.0
-            if dte:
-                score += _bump(v, width)
-            out.append(score)
-        return out
+        ends = (1, len(z))
+        return [(v if label in ends else 0.0) + (_bump(v, width) if dte else 0.0) for label, v in enumerate(z, start=1)]
 
     return raw
 
 
 def _gorbushka_new(r, width, dte):
-    def box(player, cut):
+    def scorers(cut):
         z = cut.lengths
         last = len(z)
         degenerate_signal = max(_bump(v, width) for v in z) if dte else 0.0
@@ -357,9 +346,9 @@ def _gorbushka_new(r, width, dte):
                     end = z[tile - 1]
             return max(end, degenerate_signal * _bump(_content(z, tiles), width)) if dte else end
 
-        return score
+        return [score] * r
 
-    return BoxOracle(box, r)
+    return BoxOracle(scorers, r)
 
 
 class _PiecewiseTable:
@@ -419,17 +408,17 @@ def _piecewise_random_new(r, n_tiles, seed):
     tile_tables = [_random_tables(rng, n_tiles, pin_zero=True) for _ in range(r)]
     content_tables = [_random_tables(rng, 1, pin_zero=False)[0] for _ in range(r)]
 
-    def box(player, cut):
-        z = cut.lengths
-        tables, content_table = tile_tables[player - 1], content_tables[player - 1]
-
+    def scorer(z, tables, content_table):
         def score(tiles, empty_boxes):
             # the tile scores by ``fsum``, which is exact
             return RANDOM_FLOOR + content_table(_content(z, tiles)) + math.fsum(tables[t - 1](z[t - 1]) for t in tiles)
 
         return score
 
-    return BoxOracle(box, r)
+    def scorers(cut):
+        return [scorer(cut.lengths, *player_tables) for player_tables in zip(tile_tables, content_tables)]
+
+    return BoxOracle(scorers, r)
 
 
 def make_builtin(
@@ -682,7 +671,9 @@ def validate(
     ``p_pe`` to old-style only.  ``covering+equivariance`` draws the
     samples of ``equivariance`` and reads covering off the scores at each
     unpermuted point; each of its violations names its ``axiom``.  A
-    ``BoxOracle`` is read at the unpermuted point only (blind by construction).
+    ``BoxOracle`` is blind by construction: its ``equivariance`` passes
+    without a sample, and ``covering+equivariance`` reads it at the
+    unpermuted point only.
 
     The draws depend only on the property's shape, the board (or tile
     count), ``sample_count`` and ``seed``, never on the oracle, so a run
@@ -710,6 +701,8 @@ def validate(
     if prefs.kind == NEW and variant is None:
         raise ValueError("new-style oracle needs a variant attached for sampling")
 
+    if property == "equivariance" and isinstance(prefs.raw, BoxOracle):
+        return ValidationReport(property, sample_count, [], 0.0)
     shape = "equivariance" if "equivariance" in property else property
     space = prefs.r if prefs.kind == OLD else variant
     violations = []

@@ -11,36 +11,31 @@ tile shrinks to a point.
 one-tile-per-box space (c2): the doubled cut is first reduced back to r
 tiles by deleting superfluous cut-points, each box is scored by its tile's
 score in the reduced cut, and empty boxes split the degenerate score.  The
-reduction is computed along two different deletion orders, once per cut
-for all r players.  Where the two orders give different reduced cuts, a
-query scores both and reports any disagreement as a partition-equivalence
-violation of the source.  Where they give the same reduced cut, a query
-scores it once: a pure source (as ``preferences`` requires) cannot
+cut is reduced along two deletion orders.  Where they give different
+reduced cuts, a query scores both and reports any disagreement as a
+partition-equivalence violation of the source; where they give the same
+one, it is scored once: a pure source (as ``preferences`` requires) cannot
 disagree with itself there, and an impure one is not caught there.
 
 Both lifts are ``preferences.BoxOracle``s, so box-label blind by
-construction.  The r players share the cut's reductions, which
-``_reductions``, a ``functools.lru_cache(maxsize=1)`` keyed by value,
-keeps for the last cut queried: one module-level entry, so the lifted
-oracles, which the caller may keep, reach no cut.
+construction, and build the r players' scorers at a cut in one pass: psi
+reads its source's rows once per cut, phi reduces the cut once and reads
+the source's rows once per reduction.
 
 Where checks run: each lift passes its source through the sampled gate of
 ``preferences``, ``require_axioms``, once, when it is built: psi checks
 covering and p_dte on ``PSI_CHECK_SAMPLES`` samples, phi covering and
 p_pe on ``PHI_CHECK_SAMPLES``.  Queries of a lifted oracle check only the
 box and tile counts of the point, and that a box holds at most two tiles
-(psi) or one (phi); the source is then called on the cut's own
-lengths (psi) or on the reduced lengths (phi), which have the source's r
-tiles by construction, and its rows go through ``preferences``'
-``_accepting_row``, which rejects negative and non-finite scores, rows of
-the wrong length, and a player who accepts nothing there.  A reduced cut
-keeps a subsequence of the checked cut's points, so
-``eliminate_superfluous`` builds it without the ``Cut`` checks.
+(psi) or one (phi); the source's rows at the cut's own lengths (psi) or
+at the reduced lengths (phi), r tiles by construction, then go through
+``preferences``' ``_accepting_rows``, which rejects negative and
+non-finite scores, rows of the wrong length, and a player who accepts
+nothing there.  A reduced cut keeps a subsequence of the checked cut's
+points, so ``eliminate_superfluous`` builds it without the ``Cut`` checks.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -58,7 +53,7 @@ from .preferences import (
     BoxOracle,
     PreferenceMatrix,
     PreferenceValidationError,
-    _accepting_row,
+    _accepting_rows,
     _rows,
     _uniform_simplex,
     require_axioms,
@@ -150,14 +145,7 @@ def psi(old_prefs: PreferenceMatrix, epsilon: float | None = None) -> Preference
     require_axioms(old_prefs, ("covering", "p_dte"), PSI_CHECK_SAMPLES)
     _check_short_last_tile(old_prefs, epsilon)
 
-    def box(player, cut):
-        if cut.tile_count != r:
-            raise ValueError(f"expected a point with {r} tiles")
-        z = cut.lengths
-        s = _accepting_row(old_prefs, player, z)
-        first_deg = next((label for label, v in enumerate(z, start=1) if v <= DEGENERACY_TOL), None)
-        deg_score = 0.0 if first_deg is None else s[first_deg - 1]
-
+    def scorer(s, deg_score):
         def score(tiles, empty_boxes):
             if len(tiles) > 2 or (len(tiles) == 2 and tiles[1] != r):
                 raise ValueError(f"a c1 box holds one tile, or the last and one other, not {tiles}")
@@ -171,11 +159,18 @@ def psi(old_prefs: PreferenceMatrix, epsilon: float | None = None) -> Preference
 
         return score
 
+    def scorers(cut):
+        if cut.tile_count != r:
+            raise ValueError(f"expected a point with {r} tiles")
+        z = cut.lengths
+        first_deg = next((label for label, v in enumerate(z, start=1) if v <= DEGENERACY_TOL), None)
+        return [scorer(s, 0.0 if first_deg is None else s[first_deg - 1]) for s in _accepting_rows(old_prefs, z)]
+
     return PreferenceMatrix(
         r=r,
         kind=NEW,
         model=f"psi({old_prefs.model})",
-        raw=BoxOracle(box, r),
+        raw=BoxOracle(scorers, r),
         variant=gorbushka_join(r),
         params={"epsilon": epsilon},
     )
@@ -195,7 +190,6 @@ def _check_short_last_tile(old_prefs, epsilon):
             )
 
 
-@lru_cache(maxsize=1)  # the r players query one point in turn
 def _reductions(cut: Cut, keep: str) -> tuple:
     """The reduction along ``keep``, and the one along the other order where
     it differs (None where it is the same).  A reduction is the reduced
@@ -228,12 +222,7 @@ def phi(old_prefs: PreferenceMatrix, keep: str = "left") -> PreferenceMatrix:
     r = old_prefs.r
     require_axioms(old_prefs, ("covering", "p_pe"), PHI_CHECK_SAMPLES)
 
-    def reduced_score(player, reduction):
-        """One reduction's scorer: a tile's reduced score, or an empty box's share of the degenerate score."""
-        lengths, labels, first_degenerate = reduction
-        s = _accepting_row(old_prefs, player, lengths)
-        deg_score = 0.0 if first_degenerate is None else s[first_degenerate - 1]
-
+    def scorer(s, labels, deg_score):
         def score(tiles, empty_boxes):
             if len(tiles) > 1:
                 raise ValueError(f"a c2 box holds one tile, not {tiles}")
@@ -243,14 +232,12 @@ def phi(old_prefs: PreferenceMatrix, keep: str = "left") -> PreferenceMatrix:
 
         return score
 
-    def box(player, cut):
-        if cut.tile_count != 2 * r - 1:
-            raise ValueError(f"expected a point with {2 * r - 1} tiles")
-        reduction, mirror_reduction = _reductions(cut, keep)
-        primary = reduced_score(player, reduction)
-        if mirror_reduction is None:  # a pure source scores it the same
-            return primary
-        mirror = reduced_score(player, mirror_reduction)
+    def reduced_scorers(reduction):
+        lengths, labels, first = reduction
+        return [scorer(s, labels, 0.0 if first is None else s[first - 1]) for s in _accepting_rows(old_prefs, lengths)]
+
+    def agreeing(primary, mirror):
+        """A scorer that raises where the two reductions' scorers disagree."""
 
         def score(tiles, empty_boxes):
             value = primary(tiles, empty_boxes)
@@ -263,11 +250,20 @@ def phi(old_prefs: PreferenceMatrix, keep: str = "left") -> PreferenceMatrix:
 
         return score
 
+    def scorers(cut):
+        if cut.tile_count != 2 * r - 1:
+            raise ValueError(f"expected a point with {2 * r - 1} tiles")
+        reduction, mirror_reduction = _reductions(cut, keep)
+        primary = reduced_scorers(reduction)
+        if mirror_reduction is None:  # a pure source scores it the same
+            return primary
+        return list(map(agreeing, primary, reduced_scorers(mirror_reduction)))
+
     return PreferenceMatrix(
         r=r,
         kind=NEW,
         model=f"phi({old_prefs.model})",
-        raw=BoxOracle(box, r),
+        raw=BoxOracle(scorers, r),
         variant=chessboard(r, 2 * r - 1),
         params={"keep": keep},
     )

@@ -54,7 +54,7 @@ from .preferences import (
     NEW,
     PREFERENCE_TOL,
     PreferenceMatrix,
-    _accepting_row,
+    _accepting_rows,
     _rows,
     require_axioms,
     score_matrix,
@@ -133,7 +133,7 @@ class StochasticMatrix:
 
 def average_matrix(prefs: PreferenceMatrix, point: ConfigPoint) -> StochasticMatrix:
     """Stack every player's score vector at the point and average per box."""
-    return StochasticMatrix(np.array([_accepting_row(prefs, j, point) for j in range(1, prefs.r + 1)]))
+    return StochasticMatrix(np.array(_accepting_rows(prefs, point)))
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +508,8 @@ def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | N
             # the column means as numpy's ``mean(axis=0)`` takes them: rows
             # added in order, then divided by their count
             sums = [0.0] * parts
-            for player in range(1, prefs.r + 1):
-                for box, v in enumerate(_accepting_row(prefs, player, point)):
+            for row in _accepting_rows(prefs, point):
+                for box, v in enumerate(row):
                     sums[box] += v
             f = [total / parts - 1.0 / parts for total in sums]
             found = scored[key] = (f, max(map(abs, f)))
@@ -570,16 +570,19 @@ def search(variant: Variant, prefs: PreferenceMatrix, options: SearchOptions | N
 
 @dataclass(slots=True)
 class EnvyFreeDivision:
-    """A verified division: point, score matrix, assignment and certificate."""
+    """A verified division: point, score matrix and assignment."""
 
     point: ConfigPoint
     matrix: StochasticMatrix
     assignment: tuple[int, ...]  # assignment[j-1] = box handed to player j
-    residual: float
 
     def __post_init__(self):
         if sorted(self.assignment) != list(range(1, len(self.assignment) + 1)):
             raise ValueError(f"assignment {self.assignment} is not a permutation")
+
+    @property
+    def residual(self) -> float:
+        return self.matrix.residual
 
     @property
     def certificate(self) -> list[list[bool]]:
@@ -675,7 +678,7 @@ def solve(
         )
     matrix = average_matrix(prefs, result.point)
     assignment = bottleneck_assignment(matrix)
-    division = EnvyFreeDivision(result.point, matrix, assignment, matrix.residual)
+    division = EnvyFreeDivision(result.point, matrix, assignment)
     if not verify_division(division, prefs):
         raise MatchingError("extracted assignment failed verification")
     return division
@@ -802,7 +805,8 @@ def brute_force(
     set is certified by ``max_min_score <= PREFERENCE_TOL``.
 
     Precondition: ``prefs`` is box-label blind (the ``equivariance`` axiom,
-    validated first on 200 samples seeded with ``seed``).  Relabelling the
+    validated first on 200 samples seeded with ``seed``, or held by every
+    ``BoxOracle`` by construction, so not sampled there).  Relabelling the
     boxes then permutes the columns of the score matrix and leaves its
     max-min unchanged, so each grid cut scores one allocation per
     box-relabelling orbit, the first of its orbit in lexicographic order.

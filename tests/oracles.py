@@ -4,7 +4,8 @@ Everything here recomputes results from first principles: exhaustive
 subset enumeration instead of backtracking, rational Gaussian elimination
 instead of integer normal forms, every allocation instead of one per
 box-relabelling orbit.  Keep this module free of clever reuse of
-the code under test.
+the code under test.  It also holds the tile-level fixtures that several
+test modules share, so that no test module imports another.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from envydiv.configspace import Cut, canonicalize
-from envydiv.preferences import PREFERENCE_TOL, scores
+from envydiv.configspace import Cut, canonicalize, degenerate_and_essential
+from envydiv.preferences import OLD, PREFERENCE_TOL, PreferenceMatrix, scores
 from envydiv.solver import BruteForceResult, _grid_cuts
 
 
@@ -226,3 +227,49 @@ def full_brute_scan(variant, prefs, grid_resolution):
         best_value > PREFERENCE_TOL, float(best_value), best_point, best_sigma,
         grid_resolution, evaluated,
     ).to_json()
+
+
+def trash_lover(r):
+    """Old-style fixture: hungry for solid tiles, happy with exact crumbs.
+
+    The last tile scores zero at any small positive length (the margin the
+    psi lift needs) yet every exactly-degenerate tile is worth 0.5.
+    """
+
+    def ramp(z):
+        if z <= 1e-3:
+            return 0.0
+        if z < 2e-3:
+            return 2.0 * (z - 1e-3)
+        return z
+
+    def raw(player, z):
+        return [ramp(v) + (0.5 if v == 0.0 else 0.0) for v in z]
+
+    return PreferenceMatrix(r=r, kind=OLD, model="trash_lover", raw=raw)
+
+
+def psi_preferred_boxes(source, player, point):
+    """Support-level restatement of the lift rules, kept independent of the
+    score arithmetic under test."""
+    r = source.r
+    s = scores(source, player, point.cut.lengths)
+    deg, _ = degenerate_and_essential(point.cut)
+    likes_degenerate = bool(deg) and any(s[d - 1] > PREFERENCE_TOL for d in deg)
+    boxes = point.boxes()
+    preferred = set()
+    for box in range(1, r + 1):
+        tiles = boxes.get(box, ())
+        if not tiles:
+            if likes_degenerate:
+                preferred.add(box)
+        elif len(tiles) == 2:
+            if any(s[t - 1] > PREFERENCE_TOL for t in tiles):
+                preferred.add(box)
+        elif tiles[0] != r:
+            if s[tiles[0] - 1] > PREFERENCE_TOL:
+                preferred.add(box)
+        else:
+            if s[r - 1] > PREFERENCE_TOL or likes_degenerate:
+                preferred.add(box)
+    return preferred

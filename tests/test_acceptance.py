@@ -41,7 +41,7 @@ from envydiv.solver import (
 )
 
 import oracles
-from test_reductions import psi_preferred_boxes, trash_lover
+from oracles import psi_preferred_boxes, trash_lover
 
 
 def report(number, name, ok, detail=""):

@@ -158,6 +158,18 @@ def test_partition_equivalence_survives_moving_two_degenerate_tiles():
     assert not partition_equivalent(cut, Cut((0.499999995, 0.9999999989999999, 0.9999999995)))
 
 
+def test_partition_equivalence_survives_a_degenerate_tile_rounded_over_the_tolerance():
+    # the tiny tile is under the tolerance; moved behind the solid tile, it
+    # comes back as a difference of cut-points one rounding over it
+    z = (0.23824138980298343, 9.999999717180685e-10, 0.7617586091970165)
+    cut, other = z_to_cut(ZPoint(z)), _repadded(z_to_cut(ZPoint(z)), (2,))
+    assert other.lengths == (z[0], z[2], 1.000000082740371e-09)
+    assert partition_equivalent(cut, other)
+    assert partition_equivalent(other, cut)
+    # the tile itself still counts as essential outside this comparison
+    assert degenerate_and_essential(other)[0] == frozenset()
+
+
 def test_canonicalize_strips_degenerate_tiles():
     cut = Cut((0.25, 1 / 3, 1 / 3, 2 / 3, 2 / 3))
     allocation = {1: 1, 2: 1, 3: 1, 4: 4, 5: 5, 6: 6}

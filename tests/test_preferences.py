@@ -425,10 +425,11 @@ def test_validation_makes_a_fixed_number_of_oracle_calls(model, params, space, p
     assert calls[0] == expected
 
 
-@pytest.mark.parametrize("prop", ["equivariance", "covering+equivariance"])
-def test_validation_reads_a_box_oracle_at_the_unpermuted_point_only(monkeypatch, prop):
-    # the sampled relabellings are still drawn, but a box oracle's rows at
-    # them are its rows at the point, permuted, so only r calls per sample
+@pytest.mark.parametrize("prop, expected", [("equivariance", 0), ("covering+equivariance", 3 * 200)])
+def test_validation_reads_a_box_oracle_at_the_unpermuted_point_only(monkeypatch, prop, expected):
+    # a box oracle's rows at a relabelled point are its rows at the point,
+    # permuted: equivariance alone draws and reads nothing, and covering
+    # reads r rows per sample at the unpermuted point
     prefs = make_builtin("piecewise_random", 3, kind=NEW, variant=for_space("c1", 3))
     calls = [0]
     call = BoxOracle.__call__
@@ -438,31 +439,37 @@ def test_validation_reads_a_box_oracle_at_the_unpermuted_point_only(monkeypatch,
         return call(self, player, point)
 
     monkeypatch.setattr(BoxOracle, "__call__", counting)
+    if not expected:
+        monkeypatch.setattr(preferences, "_samples", lambda *args: pytest.fail("a sample was drawn"))
     report = validate(prefs, prop, sample_count=200, seed=0)
     assert (report.samples, report.passed, report.max_deviation) == (200, True, 0.0)
-    assert calls[0] == 3 * 200
+    assert calls[0] == expected
 
 
 def test_box_oracle_builds_a_scorer_per_player_and_cut_and_scores_a_content_once():
     built, scored = [], []
 
-    def box(player, cut):
-        built.append(player)
+    def scorers(cut):
+        built.append(cut.points)
 
-        def score(tiles, empty_boxes):
-            scored.append((player, tiles, empty_boxes))
-            return float(len(tiles) + empty_boxes)
+        def scorer(player):
+            def score(tiles, empty_boxes):
+                scored.append((player, tiles, empty_boxes))
+                return float(len(tiles) + empty_boxes)
 
-        return score
+            return score
 
-    raw = BoxOracle(box, 3)
+        return [scorer(player) for player in (1, 2, 3)]
+
+    raw = BoxOracle(scorers, 3)
     variant = join_power(3)
     cut = Cut((0.2, 0.5))
     # two relabellings of one allocation, then two of another
     allocations = ({1: 1, 2: 2, 3: 3}, {1: 2, 2: 3, 3: 1}, {1: 1, 2: 1, 3: 2}, {1: 2, 2: 2, 3: 1})
     points = [canonicalize(cut, alloc, variant) for alloc in allocations]
     rows = [raw(player, point) for point in points for player in (1, 2)]
-    assert built == [1, 2]
+    # every player's scorer in one build, which player 3 never queried
+    assert built == [(0.2, 0.5)]
     assert rows[::2] == [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [3.0, 2.0, 1.0], [2.0, 3.0, 1.0]]
     # per player: three boxes of one tile and no empty box, then tiles 1
     # and 2, tile 3 and nothing, with one empty box
@@ -471,10 +478,17 @@ def test_box_oracle_builds_a_scorer_per_player_and_cut_and_scores_a_content_once
         for player in (1, 2)
         for tiles, empty in (((1,), 0), ((2,), 0), ((3,), 0), ((1, 2), 1), ((3,), 1), ((), 1))
     )
-    # a query at another cut takes the memo; the first cut then starts over
+    # an equal cut rebuilt by value finds the scorers and their scores
+    count = len(scored)
+    assert raw(2, canonicalize(Cut((0.2, 0.5)), allocations[2], variant)) == rows[5]
+    assert (built, len(scored)) == ([(0.2, 0.5)], count)
+    # a query at another cut, or of another oracle, takes the memo; the
+    # first cut then starts over
     raw(1, canonicalize(Cut((0.3, 0.6)), allocations[0], variant))
     raw(1, points[0])
-    assert built == [1, 2, 1, 1]
+    BoxOracle(scorers, 3)(1, points[0])
+    raw(1, points[0])
+    assert built == [(0.2, 0.5), (0.3, 0.6), (0.2, 0.5), (0.2, 0.5), (0.2, 0.5)]
 
 
 def test_box_oracle_refuses_a_point_with_another_box_count():

@@ -12,7 +12,6 @@ from envydiv.configspace import (
     ZPoint,
     _face_point,
     canonicalize,
-    degenerate_and_essential,
     partition_equivalent,
     point_from_barycentric,
     z_to_cut,
@@ -22,7 +21,6 @@ from envydiv.preferences import (
     PREFERENCE_TOL,
     PreferenceMatrix,
     PreferenceValidationError,
-    _at_cut,
     make_builtin,
     sample_config_point,
     scores,
@@ -30,32 +28,13 @@ from envydiv.preferences import (
 )
 from envydiv.reductions import (
     InadmissibleCutError,
-    _reductions,
     eliminate_superfluous,
     phi,
     psi,
 )
 from envydiv.solver import solve
 
-
-def trash_lover(r):
-    """Old-style fixture: hungry for solid tiles, happy with exact crumbs.
-
-    The last tile scores zero at any small positive length (the margin the
-    psi lift needs) yet every exactly-degenerate tile is worth 0.5.
-    """
-
-    def ramp(z):
-        if z <= 1e-3:
-            return 0.0
-        if z < 2e-3:
-            return 2.0 * (z - 1e-3)
-        return z
-
-    def raw(player, z):
-        return [ramp(v) + (0.5 if v == 0.0 else 0.0) for v in z]
-
-    return PreferenceMatrix(r=r, kind=OLD, model="trash_lover", raw=raw)
+from oracles import psi_preferred_boxes, trash_lover
 
 
 # ---------------------------------------------------------------------------
@@ -113,32 +92,6 @@ def test_eliminate_random_admissible_cuts():
 
 # ---------------------------------------------------------------------------
 # psi
-
-
-def psi_preferred_boxes(source, player, point):
-    """Support-level restatement of the lift rules, kept independent of the
-    score arithmetic under test."""
-    r = source.r
-    s = scores(source, player, point.cut.lengths)
-    deg, _ = degenerate_and_essential(point.cut)
-    likes_degenerate = bool(deg) and any(s[d - 1] > PREFERENCE_TOL for d in deg)
-    boxes = point.boxes()
-    preferred = set()
-    for box in range(1, r + 1):
-        tiles = boxes.get(box, ())
-        if not tiles:
-            if likes_degenerate:
-                preferred.add(box)
-        elif len(tiles) == 2:
-            if any(s[t - 1] > PREFERENCE_TOL for t in tiles):
-                preferred.add(box)
-        elif tiles[0] != r:
-            if s[tiles[0] - 1] > PREFERENCE_TOL:
-                preferred.add(box)
-        else:
-            if s[r - 1] > PREFERENCE_TOL or likes_degenerate:
-                preferred.add(box)
-    return preferred
 
 
 @pytest.mark.parametrize("source_factory", [lambda: make_builtin("hungry", 3), lambda: trash_lover(3)])
@@ -199,6 +152,18 @@ def test_lifts_refuse_a_point_with_the_wrong_tile_count(lift, tiles):
         scores(lifted, 1, point)
 
 
+def _builds(lifted):
+    """The cuts at which ``lifted`` builds its scorers, as it builds them."""
+    built, scorers = [], lifted.raw.scorers
+
+    def counting(cut):
+        built.append(cut)
+        return scorers(cut)
+
+    lifted.raw.scorers = counting
+    return built
+
+
 @pytest.mark.parametrize(
     "lift, cells",
     [(psi, ((1, 1), (2, 3), (3, 2))), (phi, ((1, 1), (2, 3), (3, 5)))],
@@ -207,15 +172,20 @@ def test_lifts_refuse_a_point_with_the_wrong_tile_count(lift, tiles):
 def test_lift_memo_hits_an_equal_point_rebuilt_by_value(lift, cells):
     source = make_builtin("hungry", 3)
     lifted = lift(source)
+    built = _builds(lifted)
     weights = (0.2, 0.3, 0.5)
     first = point_from_barycentric(lifted.variant, cells, weights)
-    row = scores(lifted, 1, first).tolist()
+    asked, raw = [], source.raw
+    source.raw = lambda player, z: asked.append(player) or raw(player, z)
+    rows = [scores(lifted, player, first).tolist() for player in (1, 2, 3)]
+    # one build reads every player's source row, once per reduction (phi
+    # reduces this cut the same way along both deletion orders)
+    assert built == [first.cut] and asked == [1, 2, 3]
     rebuilt = point_from_barycentric(lifted.variant, cells, weights)
-    assert rebuilt == first and rebuilt is not first
-    hits = _at_cut.cache_info().hits
+    assert rebuilt == first and rebuilt is not first and rebuilt.cut is not first.cut
     source.raw = lambda player, z: pytest.fail("the source was asked again at a memoized cut")
-    assert scores(lifted, 1, rebuilt).tolist() == row
-    assert _at_cut.cache_info().hits == hits + 1
+    assert [scores(lifted, player, rebuilt).tolist() for player in (1, 2, 3)] == rows
+    assert built == [first.cut]
 
 
 def test_psi_refuses_a_box_of_three_tiles():
@@ -369,19 +339,26 @@ def test_phi_output_is_covering_and_equivariant():
 
 
 def test_phi_memo_holds_one_entry():
+    # lifts take turns at each point: the memo holds the last lift queried
+    # only, so each turn builds that lift's scorers anew, and the last lift
+    # asked again, by any player, builds nothing
     rng = np.random.default_rng(31)
     for r in (2, 3, 4):
         lifts = [phi(make_builtin(name, r), keep=keep) for name in ("hungry", "burnt") for keep in ("left", "right")]
+        built = [_builds(lifted) for lifted in lifts]
         for i in range(40):
             point = sample_config_point(rng, lifts[0].variant, force_degenerate=i % 2 == 1)
             for lifted in lifts:
                 lifted.raw(1 + i % r, point)
-            assert _reductions.cache_info().currsize == 1
+            for player in range(1, r + 1):
+                lifts[-1].raw(player, point)
+            assert [len(cuts) for cuts in built] == [i + 1] * len(lifts)
+            assert all(cuts[-1] == point.cut for cuts in built)
 
 
 def test_phi_memo_shared_by_lifts_matches_fresh_lifts():
-    # lifts of different sources and deletion orders take turns at one cut;
-    # each answer must equal that of a fresh lift with an empty memo
+    # lifts of different sources and deletion orders take turns at one cut,
+    # player by player; each answer must equal that of a lift queried alone
     rng = np.random.default_rng(32)
     r = 3
     pairs = [
@@ -394,11 +371,10 @@ def test_phi_memo_shared_by_lifts_matches_fresh_lifts():
     fresh = [phi(source(), keep=keep) for source, keep in pairs]
     for i in range(60):
         point = sample_config_point(rng, shared[0].variant, force_degenerate=i % 2 == 1)
+        alone = [[reference.raw(player, point) for player in range(1, r + 1)] for reference in fresh]
         for player in range(1, r + 1):
-            for lifted, reference in zip(shared, fresh):
-                got = lifted.raw(player, point)
-                _reductions.cache_clear()
-                assert got == reference.raw(player, point)
+            for lifted, rows in zip(shared, alone):
+                assert lifted.raw(player, point) == rows[player - 1]
 
 
 def _reachable(root):

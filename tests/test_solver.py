@@ -574,19 +574,21 @@ def test_verify_division_detects_zero_scores():
     prefs = make_builtin("hungry", 2, kind="new", variant=variant)
     point = point_from_barycentric(variant, [(1, 1), (2, 2)], (0.5, 0.5))
     matrix = average_matrix(prefs, point)
-    good = EnvyFreeDivision(point, matrix, (1, 2), matrix.residual)
+    good = EnvyFreeDivision(point, matrix, (1, 2))
     assert verify_division(good, prefs)
-    # the certificate is read off the matrix, so it cannot disagree with it
+    # the certificate and the residual are read off the matrix, so neither
+    # can disagree with it
     assert good.certificate == [[bool(v > PREFERENCE_TOL) for v in row] for row in matrix.entries]
+    assert good.residual == good.to_json()["residual"] == matrix.residual
     # hand box 1 (all the cake in tile 1's box) to both... a swapped pairing
     # with a zero-score box must fail
     lopsided = point_from_barycentric(variant, [(1, 1), (1, 2)], (0.5, 0.5))
     m2 = average_matrix(prefs, lopsided)
-    bad = EnvyFreeDivision(lopsided, m2, (2, 1), m2.residual)
+    bad = EnvyFreeDivision(lopsided, m2, (2, 1))
     assert not verify_division(bad, prefs)
     assert bad.certificate == [[True, False], [True, False]]
     with pytest.raises(ValueError):
-        EnvyFreeDivision(point, matrix, (1, 1), 0.0)
+        EnvyFreeDivision(point, matrix, (1, 1))
 
 
 def test_brute_force_hungry_r2_grid51():

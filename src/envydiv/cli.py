@@ -42,30 +42,27 @@ def _options(args) -> SearchOptions:
     return SearchOptions(tolerance=args.tol, coarse_budget=args.coarse_budget, seed=args.seed)
 
 
-def _load_prefs(args, space=None):
-    return preferences.load_preference_file(
-        args.prefs, space=space or getattr(args, "space", None), r=getattr(args, "r", None)
-    )
+def _load_prefs(args):
+    """The oracle of ``--prefs``, whose r also sizes the board of ``--space``;
+    ``--r`` supplies the r a file leaves out, or must agree with the file's."""
+    return preferences.load_preference_file(args.prefs, space=args.space, r=args.r)
 
 
 def _cmd_solve(args) -> tuple[dict, int]:
-    variant = complexes.for_space(args.space, args.r)
     prefs = _load_prefs(args)
-    division = solver.solve(variant, prefs, _options(args))
+    division = solver.solve(complexes.for_space(args.space, prefs.r), prefs, _options(args))
     logger.info("verified division with residual %.3g", division.residual)
     return division.to_json(), EXIT_OK
 
 
 def _cmd_brute(args) -> tuple[dict, int]:
-    variant = complexes.for_space(args.space, args.r)
     prefs = _load_prefs(args)
-    result = solver.brute_force(variant, prefs, args.grid, seed=args.seed)
+    result = solver.brute_force(complexes.for_space(args.space, prefs.r), prefs, args.grid, seed=args.seed)
     return result.to_json(), EXIT_OK
 
 
 def _cmd_validate(args) -> tuple[dict, int]:
-    space = args.space
-    prefs = _load_prefs(args, space=space)
+    prefs = _load_prefs(args)
     report = preferences.validate(
         prefs, args.property, sample_count=args.samples, seed=args.seed
     )
@@ -225,10 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="chatty logs on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_space=True):
-        p.add_argument("--r", type=int, default=None, help="number of players/boxes")
-        if with_space:
-            p.add_argument("--space", choices=["c1", "c2", "c3"], required=True)
+    def add_common(p, space_required=True):
+        p.add_argument("--r", type=int, default=None, help="number of players/boxes, if the file has no r")
+        p.add_argument("--space", choices=["c1", "c2", "c3"], required=space_required)
         p.add_argument("--prefs", required=True, help="preference JSON file")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", default=None, help="also write the JSON here")
@@ -250,13 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_brute.set_defaults(fn=_cmd_brute)
 
     p_val = sub.add_parser("validate", help="statistically check a preference axiom")
-    p_val.add_argument("--r", type=int, default=None)
-    p_val.add_argument("--space", choices=["c1", "c2", "c3"], default=None)
-    p_val.add_argument("--prefs", required=True)
+    add_common(p_val, space_required=False)
     p_val.add_argument("--property", required=True, choices=list(preferences.VALIDATION_PROPERTIES))
     p_val.add_argument("--samples", type=int, default=1000)
-    p_val.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_val.add_argument("--out", default=None)
     p_val.set_defaults(fn=_cmd_validate)
 
     p_top = sub.add_parser("topology", help="homology and pseudomanifold reports")

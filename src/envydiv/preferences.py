@@ -17,18 +17,18 @@ Built-in models:
 * ``piecewise_random`` -- seeded piecewise-linear scores with a positive
   floor, covering and box-label-blind by construction.
 
-Every score row is read through ``_row`` (one player) or ``_rows`` (every
-player at one point, in one pass): the ``raw`` scores, normalized by
-``_normalized``, which rejects negative, NaN and infinite scores, and
-checked to hold one score per box (new-style) or tile (old-style), so a
-row of the wrong length names the player and the count.  The hot loops
-work on these plain rows, a list per player, because at r <= 8 an array
-costs more to build than the arithmetic it would hold.  ``score_matrix``
-stacks the rows at one checked point into an array, for verification and
-the ``continuity`` check; ``scores`` is its one-row case.  Points are
-checked where they enter from outside, in the public constructors of
-``configspace``; the hot loops build points and cuts on faces they already
-know without the checks.
+Every score row is read through ``_rows``, every player at one point in
+one pass: the ``raw`` scores, normalized by ``_normalized``, which rejects
+negative, NaN and infinite scores, and checked to hold one score per box
+(new-style) or tile (old-style), so a row of the wrong length names the
+player and the count.  The hot loops work on these plain rows, a list per
+player, because at r <= 8 an array costs more to build than the arithmetic
+it would hold.  ``score_matrix`` stacks the rows at one checked point into
+an array, for verification and the ``continuity`` check; ``scores`` is its
+row of one player.  ``_refusing`` names the first player whose row accepts
+nothing, wherever that is asked.  Points are checked where they enter from
+outside, in the public constructors of ``configspace``; the hot loops
+build points and cuts on faces they already know without the checks.
 
 Oracles must be pure and deterministic per (player, point): the solver
 evaluates them one at a time, in one thread, and reuses the averages it
@@ -48,11 +48,13 @@ no box there, because every player's preferred sets must cover the space.
 ``covering+equivariance`` property: covering is read off every player's
 scores at each equivariance sample, before its relabelling.
 
-Where checks run: ``require_axioms`` is the one gate of the sampled
-checks.  ``solve`` and ``brute_force`` pass their oracle through it, and
-each lift its source, once, before the first query; it names the first
-failing axiom and its count.  Past the gate, the search, ``average_matrix``
-and the lifts' source queries read every player's row at a point through
+Where checks run: ``require_axioms`` is the gate of the sampled axiom
+checks, and psi's short-last-tile check (``reductions``) the one other
+sampled check; both draw through ``sample_lengths``.  ``solve`` and
+``brute_force`` pass their oracle through the gate, and each lift its
+source, once, before the first query; it names the first failing axiom and
+its count.  Past the gate, the search, ``average_matrix`` and the lifts'
+source queries read every player's row at a point through
 ``_accepting_rows``, which raises the same ``PreferenceValidationError``
 for the first player who accepts nothing there: a covering failure that no
 sample drew.  The gate's samples depend only on the check, the board or
@@ -182,18 +184,10 @@ def _reject(row: list[float]):
     raise ValueError(f"oracle produced a non-finite score: {row}")
 
 
-def _row(prefs: PreferenceMatrix, player: int, domain) -> list[float]:
-    """One player's normalized scores at a point ``_domain`` passed: one
-    ``raw`` call, which must return one score per box or tile."""
-    row = _normalized(prefs.raw(player, domain))
-    if len(row) != prefs.r:
-        raise ValueError(f"oracle returned {len(row)} scores for player {player}, expected {prefs.r}")
-    return row
-
-
 def _rows(prefs: PreferenceMatrix, domain) -> list[list[float]]:
-    """Every player's ``_row`` at one point, player j in row j-1, in one
-    pass: a row of the wrong length raises before the next player is asked."""
+    """Every player's normalized scores at a point ``_domain`` passed,
+    player j in row j-1, one ``raw`` call each: a row that does not hold
+    one score per box or tile raises before the next player is asked."""
     raw, r = prefs.raw, prefs.r
     rows = []
     for player in range(1, r + 1):
@@ -204,13 +198,21 @@ def _rows(prefs: PreferenceMatrix, domain) -> list[list[float]]:
     return rows
 
 
+def _refusing(rows) -> int | None:
+    """The first player whose normalized row accepts nothing, or None: such
+    a row is all zeros, any other holds a score of at least 1/r."""
+    for player, row in enumerate(rows, start=1):
+        if not any(row):
+            return player
+    return None
+
+
 def _accepting_rows(prefs: PreferenceMatrix, domain) -> list[list[float]]:
     """``_rows``, refusing the first player who accepts nothing at the
     point: the covering failure met outside the sampled checks."""
     rows = _rows(prefs, domain)
-    for player, row in enumerate(rows, start=1):
-        if not any(row):
-            raise PreferenceValidationError(f"player {player} accepts nothing at {_witness(domain)}")
+    if (player := _refusing(rows)) is not None:
+        raise PreferenceValidationError(f"player {player} accepts nothing at {_witness(domain)}")
     return rows
 
 
@@ -230,7 +232,7 @@ def scores(prefs: PreferenceMatrix, player: int, point) -> np.ndarray:
     """
     if not 1 <= player <= prefs.r:
         raise ValueError(f"player {player} outside 1..{prefs.r}")
-    return np.array(_row(prefs, player, _domain(prefs, point)))
+    return score_matrix(prefs, point)[player - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +278,8 @@ class BoxOracle:
         self.r = r
 
     def __call__(self, player: int, point: ConfigPoint) -> list[float]:
+        if not 0 < player <= self.r:
+            raise ValueError(f"player {player} outside 1..{self.r}")
         oracle, last, cut, contents, at_cut = _memo
         if oracle is not self or last is not point:
             if point.r != self.r:
@@ -441,6 +445,8 @@ def make_builtin(
         raise ValueError(f"kind must be {OLD!r} or {NEW!r}")
     if kind == NEW and variant is None:
         variant = complexes.gorbushka_join(r)
+    elif kind == NEW and variant.rows != r:
+        raise ValueError(f"a new-style oracle of {r} players needs a board of {r} rows, not {variant}")
 
     if name == "hungry":
         margin = float(params.setdefault("margin", HUNGRY_MARGIN))
@@ -589,11 +595,11 @@ def _draws(shape: str, domain, sample_count: int, seed: int):
     """Every sample of one property shape, in the order the seeded stream
     draws it: (x, boxes, extra) per sample.
 
-    ``domain`` is the board of a new-style oracle, whose samples are points
-    on a facet drawn by index with its barycentric weights, given as built:
-    x holds the point's cut-points and boxes the box of each tile (0 for a
-    degenerate tile).  For an old-style oracle ``domain`` is the tile count
-    r, x the tile lengths z and boxes None.  Degenerate tiles are forced on
+    ``domain`` is the board of a new-style oracle, whose samples are
+    ``sample_config_point``s given as built: x holds the point's cut-points
+    and boxes the box of each tile (0 for a degenerate tile).  For an
+    old-style oracle ``domain`` is the tile count r, x the
+    ``sample_lengths`` z and boxes None.  Degenerate tiles are forced on
     odd samples, and on every sample of ``p_dte`` and ``p_pe``.  The extra
     draw is the relabelling of ``equivariance`` (a 0-based permutation of
     the boxes), the re-padded z of ``p_pe``, or the weight move of
@@ -603,14 +609,14 @@ def _draws(shape: str, domain, sample_count: int, seed: int):
     """
     rng = np.random.default_rng(seed)
     old = not isinstance(domain, Variant)
-    n_facets = None if old else complexes.facet_count(domain)
     width = domain if old else len(complexes.facet_at(domain, 0))
     for i in range(sample_count):
-        facet = None if old else complexes.facet_at(domain, int(rng.integers(0, n_facets)))
-        x = sample_lengths(rng, width, shape in ("p_dte", "p_pe") or i % 2 == 1)
+        degenerate = shape in ("p_dte", "p_pe") or i % 2 == 1
         boxes, support = None, width
-        if not old:
-            point = _barycentric_point(domain, facet, x)
+        if old:
+            x = sample_lengths(rng, width, degenerate)
+        else:
+            point = sample_config_point(rng, domain, degenerate)
             box_of = dict(point.allocation)
             x, support = point.cut.points, len(box_of)
             boxes = [box_of.get(tile, 0) for tile in range(1, domain.cols + 1)]
@@ -710,10 +716,7 @@ def validate(
 
     for point, extra in _samples(shape, space, sample_count, int(seed)):
         if property == "covering":
-            domain = _domain(prefs, point)
-            # player by player, stopping at the first who accepts no box
-            accepting = (max(_row(prefs, j, domain)) > PREFERENCE_TOL for j in range(1, prefs.r + 1))
-            if not all(accepting):
+            if _refusing(_rows(prefs, _domain(prefs, point))) is not None:
                 violations.append(_witness(point))
         elif shape == "equivariance":
             # sigma, 0-based: box b + 1 becomes box perm[b] + 1
@@ -721,10 +724,8 @@ def validate(
             before = _rows(prefs, _domain(prefs, point))
             # the two-axiom property tags each violation with its axiom
             tag = {} if property == "equivariance" else {"axiom": "equivariance"}
-            if tag:
-                refusing = next((j for j, row in enumerate(before, 1) if max(row) <= PREFERENCE_TOL), None)
-                if refusing is not None:
-                    violations.append({"axiom": "covering", "point": _witness(point), "player": refusing})
+            if tag and (refusing := _refusing(before)) is not None:
+                violations.append({"axiom": "covering", "point": _witness(point), "player": refusing})
             if isinstance(prefs.raw, BoxOracle):  # its relabelled rows are these, permuted
                 continue
             # ``act`` without its permutation check: relabelled boxes, same cut
@@ -788,15 +789,12 @@ def _repad_zeros(rng, z):
 
 def _ppe_clause_violation(prefs, z, z_alt):
     """The first p_pe clause a player breaks between the two paddings, or
-    None; each player's rows are read only until a clause breaks."""
+    None; every player's rows are read at both."""
     ess = [i for i, v in enumerate(z) if v > DEGENERACY_TOL]
     ess_alt = [i for i, v in enumerate(z_alt) if v > DEGENERACY_TOL]
     deg = [i for i, v in enumerate(z) if v <= DEGENERACY_TOL]
     deg_alt = [i for i, v in enumerate(z_alt) if v <= DEGENERACY_TOL]
-    domain, domain_alt = _domain(prefs, z), _domain(prefs, z_alt)
-    for j in range(1, prefs.r + 1):
-        s = _row(prefs, j, domain)
-        s_alt = _row(prefs, j, domain_alt)
+    for s, s_alt in zip(_rows(prefs, _domain(prefs, z)), _rows(prefs, _domain(prefs, z_alt))):
         for a, b in zip(ess, ess_alt):
             if (s[a] > PREFERENCE_TOL) != (s_alt[b] > PREFERENCE_TOL):
                 return 1

@@ -55,8 +55,8 @@ from .preferences import (
     PreferenceValidationError,
     _accepting_rows,
     _rows,
-    _uniform_simplex,
     require_axioms,
+    sample_lengths,
 )
 
 
@@ -177,13 +177,14 @@ def psi(old_prefs: PreferenceMatrix, epsilon: float | None = None) -> Preference
 
 
 def _check_short_last_tile(old_prefs, epsilon):
-    """Sample last-tile lengths in (0, epsilon) and demand a zero score."""
+    """Sample last-tile lengths in (0, epsilon), the rest by ``sample_lengths``,
+    and demand a zero score: psi's sampled check besides ``require_axioms``."""
     r = old_prefs.r
     rng = np.random.default_rng(0)
     lows = max(10 * DEGENERACY_TOL, epsilon * 1e-3)
     for i in range(PSI_CHECK_SAMPLES):
         t = float(lows + (epsilon - lows) * (i + 0.5) / PSI_CHECK_SAMPLES)
-        z = tuple(v * (1.0 - t) for v in _uniform_simplex(rng, r - 1).tolist()) + (t,)
+        z = tuple(v * (1.0 - t) for v in sample_lengths(rng, r - 1)) + (t,)
         if any(row[r - 1] > PREFERENCE_TOL for row in _rows(old_prefs, z)):
             raise PreferenceValidationError(
                 f"source prefers the last tile at length {t:.3g} < epsilon={epsilon:.3g}"

@@ -189,14 +189,6 @@ def _max_mins(flat: np.ndarray, r: int) -> tuple[list[float], list[int]]:
     return worst[np.arange(len(worst)), best].tolist(), best.tolist()
 
 
-def _max_min(entries: np.ndarray) -> tuple[float, np.ndarray]:
-    """The largest smallest-assigned score over all permutations, and the
-    lex-least permutation reaching it."""
-    r = len(entries)
-    (value,), (best,) = _max_mins(entries.reshape(1, r * r), r)
-    return value, _permutation_table(r)[0][best]
-
-
 def _one_based(perm: np.ndarray) -> tuple[int, ...]:
     return tuple(int(b) + 1 for b in perm)
 
@@ -219,10 +211,11 @@ def extract_assignment(matrix: StochasticMatrix) -> tuple[int, ...]:
 
 def bottleneck_assignment(matrix: StochasticMatrix) -> tuple[int, ...]:
     """Permutation maximizing the smallest assigned score, lex-least on ties."""
-    value, perm = _max_min(matrix.entries)
+    r = matrix.r
+    (value,), (best,) = _max_mins(matrix.entries.reshape(1, r * r), r)
     if value <= PREFERENCE_TOL:
         raise MatchingError("no assignment with all scores above the preference threshold")
-    return _one_based(perm)
+    return _one_based(_permutation_table(r)[0][best])
 
 
 @dataclass(frozen=True)
@@ -627,11 +620,14 @@ def _checked_oracle(variant: Variant, prefs: PreferenceMatrix, prop: str, seed: 
     """The oracle bound to ``variant``, after ``prop`` passed 200 samples of
     ``require_axioms`` seeded with ``seed``.
 
-    An unbound oracle is bound on a copy, and one bound to another board is
-    rejected; either way the caller's oracle is left as it was.
+    An unbound oracle is bound on a copy, and one of another player count
+    or bound to another board is rejected, before the gate reads a row;
+    either way the caller's oracle is left as it was.
     """
     if prefs.kind != NEW:
         raise ValueError("the solver needs a new-style oracle; lift tile-level preferences first")
+    if prefs.r != variant.rows:
+        raise ValueError(f"oracle has {prefs.r} players, the board {variant} has {variant.rows} rows")
     if prefs.variant is None:
         prefs = dataclasses.replace(prefs, variant=variant)
     elif prefs.variant != variant:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import envydiv
 from envydiv import preferences, solver
 from envydiv.cli import main
 from envydiv.preferences import row_shuffled
@@ -178,6 +183,37 @@ def test_unknown_model_exits_4(capsys, tmp_path, space, payload):
 def test_r_mismatch_exits_4(capsys, hungry_new):
     code, _ = run(capsys, ["solve", "--r", "4", "--space", "c1", "--prefs", hungry_new])
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--space", "c1"], ["brute", "--space", "c1", "--grid", "9"]],
+    ids=["solve", "brute"],
+)
+def test_r_may_come_from_the_file_alone(capsys, hungry_new, argv):
+    # the board is sized by the loaded oracle's r, so --r only checks it
+    code, out = run(capsys, argv + ["--prefs", hungry_new])
+    assert code == 0
+    assert (code, out) == run(capsys, argv + ["--r", "3", "--prefs", hungry_new])
+
+
+@pytest.mark.parametrize("command", ["solve", "brute", "validate"])
+def test_no_r_in_the_file_or_the_command_line_exits_4(capsys, tmp_path, command):
+    prefs = write_prefs(tmp_path, "no_r.json", {"kind": "new", "model": "hungry"})
+    argv = [command, "--space", "c1", "--prefs", prefs] + (["--property", "covering"] if command == "validate" else [])
+    code, out = run(capsys, argv)
+    assert code == 4
+    assert json.loads(out) == {"input_error": True, "message": "preference file must declare r (or pass --r)"}
+
+
+def test_module_entry_point_exits_with_the_command_code():
+    src = str(Path(envydiv.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "envydiv.cli", "demo", "gale", "--r", "3"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["pass"] is True
 
 
 def test_topology_chessboard(capsys):

@@ -10,6 +10,7 @@ from envydiv.complexes import (
     ResourceCapExceeded,
     SimplicialComplex,
     Variant,
+    boundary_matrix,
     build_complex,
     chessboard,
     facet_at,
@@ -361,3 +362,25 @@ def test_pseudomanifold_rejects_mixed_dimension():
     )
     with pytest.raises(NotPureComplexError):
         is_pseudomanifold(cx)
+
+
+def test_boundary_matrix_is_empty_outside_one_to_the_dimension():
+    cx = build_complex(chessboard(3, 3))
+    assert cx.dimension == 2 and len(boundary_matrix(cx, 2)) == cx.face_counts()[2]
+    for dim in (-1, 0, 3):
+        assert boundary_matrix(cx, dim) == []
+
+
+def test_empty_complex_has_no_homology_and_is_no_pseudomanifold():
+    cx = SimplicialComplex(None, (), ())
+    report = reduced_homology(cx)
+    assert (report.betti, report.torsion, report.euler) == ((), (), 0)
+    assert not is_pseudomanifold(cx)
+
+
+def test_zero_dimensional_pseudomanifold_is_two_points():
+    # the 0-sphere: two points, and nothing else, bound every empty ridge
+    points = [((1, j),) for j in (1, 2, 3)]
+    assert is_pseudomanifold(SimplicialComplex(None, tuple(p[0] for p in points[:2]), tuple(points[:2])))
+    for facets in (points[:1], points):
+        assert not is_pseudomanifold(SimplicialComplex(None, tuple(p[0] for p in facets), tuple(facets)))

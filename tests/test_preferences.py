@@ -30,7 +30,6 @@ from envydiv.preferences import (
     _plan,
     _random_tables,
     _repad_zeros,
-    _row,
     _rows,
     _samples,
     _uniform_simplex,
@@ -321,6 +320,9 @@ def test_load_preference_file(tmp_path):
     path.write_text(json.dumps({"r": 3, "kind": "new", "model": "hungry"}))
     prefs = load_preference_file(path, space="c1")
     assert prefs.kind == NEW and prefs.variant == gorbushka_join(3)
+    # a dict source is read as the file's JSON
+    from_dict = load_preference_file({"r": 3, "kind": "new", "model": "hungry"}, space="c2")
+    assert (from_dict.r, from_dict.kind, from_dict.variant) == (3, NEW, for_space("c2", 3))
 
     path.write_text(json.dumps({"r": 3, "kind": "old", "model": "hungry", "reduction": "psi"}))
     lifted = load_preference_file(path, space="c1")
@@ -405,12 +407,11 @@ def _counted(prefs):
 @pytest.mark.parametrize(
     "model, params, space, prop, expected",
     [
-        # covering stops at the first player who accepts no box: all 3 calls
-        # at a sample where everyone accepts one, so 3 x 200 here; the
-        # gorbushka players are alike, so player 1 alone is asked at each of
-        # the 61 samples where nobody accepts one: 3 x 139 + 61
+        # covering reads every player's row at each sample, 3 x 200, also at
+        # the 61 gorbushka samples where nobody accepts a box: 3 x 139 +
+        # 3 x 61 (a reader stopping at the first refusing player made 478)
         ("piecewise_random", None, "c1", "covering", 600),
-        ("gorbushka", {"dte": False}, "c2", "covering", 478),
+        ("gorbushka", {"dte": False}, "c2", "covering", 600),
         # equivariance scores every player at the point and at its relabelling
         ("piecewise_random", None, "c1", "equivariance", 1200),
         # and covering+equivariance reads covering off the first of the two
@@ -498,6 +499,46 @@ def test_box_oracle_refuses_a_point_with_another_box_count():
         raw(1, point)
 
 
+def test_box_oracle_refuses_a_player_outside_one_to_r():
+    prefs = make_builtin("piecewise_random", 3, kind=NEW, variant=for_space("c1", 3))
+    point = sample_config_point(np.random.default_rng(0), prefs.variant)
+    for player in (0, 4):
+        with pytest.raises(ValueError, match=f"player {player} outside 1..3"):
+            prefs.raw(player, point)
+
+
+@pytest.mark.parametrize("model", BUILTIN_MODELS)
+def test_make_builtin_refuses_a_board_of_another_player_count(model):
+    with pytest.raises(ValueError, match="a new-style oracle of 3 players needs a board of 3 rows"):
+        make_builtin(model, 3, kind=NEW, variant=gorbushka_join(4))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PreferenceMatrix(r=3, kind="sideways", model="x", raw=None), "kind must be 'old' or 'new'"),
+        (lambda: PreferenceMatrix(r=1, kind=OLD, model="x", raw=None), "need at least two players"),
+        (lambda: scores(make_builtin("hungry", 3), 1, (0.5, 0.5)), "expected 3 tile lengths, got 2"),
+        (lambda: _PiecewiseTable([0.0, 1.0], [0.0]), "need matching x/y breakpoint lists"),
+        (
+            lambda: piecewise_from_tables(2, {"1": {"1": [[0.0, 1.0], [1.0, 1.0]], "2": [[0.0, 1.0], [1.0, 1.0]]}}),
+            "missing piecewise table for player 2$",
+        ),
+        (lambda: row_shuffled(make_builtin("hungry", 3), (1, 1, 2)), "is not a permutation of 1..3"),
+        (
+            lambda: validate(dataclasses.replace(make_builtin("hungry", 3, kind=NEW), variant=None), "covering"),
+            "needs a variant attached",
+        ),
+        (lambda: load_preference_file({"kind": "new", "model": "hungry"}), r"must declare r \(or pass --r\)"),
+        (lambda: phi(make_builtin("hungry", 3, kind=NEW)), "phi expects an old-style oracle"),
+    ],
+    ids=["kind", "players", "tiles", "table", "player-table", "permutation", "variant", "r", "phi"],
+)
+def test_input_checks_name_what_is_wrong(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def _box_oracle(model, space, r):
     if model == "psi":
         return psi(make_builtin("hungry", r))
@@ -551,6 +592,11 @@ def _rebuilt(point):
     return _face_point(point.variant, Cut(point.cut.points), point.allocation)
 
 
+def _alone(prefs, player, point):
+    """One player's normalized row, read by itself: one ``raw`` call."""
+    return _normalized(prefs.raw(player, point))
+
+
 @pytest.mark.parametrize(
     "model, space, r",
     [(model, space, r) for model in BUILTIN_MODELS for space in ("c1", "c2", "c3") for r in range(2, 6)]
@@ -565,13 +611,13 @@ def test_row_pass_is_the_rows_one_by_one_bit_for_bit(model, space, r):
     points = [point for point, _ in _samples("equivariance", prefs.variant, 40, r)]
     for point in points + [act(tuple(range(r, 0, -1)), point) for point in points[:10]]:
         rows = _rows(prefs, point)
-        one_by_one = [_row(prefs, j, point) for j in range(1, r + 1)]
-        fresh = [_row(prefs, j, _rebuilt(point)) for j in range(1, r + 1)]
+        one_by_one = [_alone(prefs, j, point) for j in range(1, r + 1)]
+        fresh = [_alone(prefs, j, _rebuilt(point)) for j in range(1, r + 1)]
         del asked[:]
         assert _bits(_rows(wrapped, point)) == _bits(rows) == _bits(one_by_one) == _bits(fresh)
         assert asked == list(range(1, r + 1))
         del asked[:]
-        assert _bits([_row(wrapped, j, point) for j in range(1, r + 1)]) == _bits(rows)
+        assert _bits([_alone(wrapped, j, point) for j in range(1, r + 1)]) == _bits(rows)
         assert asked == list(range(1, r + 1))
 
 
@@ -604,11 +650,11 @@ def test_row_pass_holds_between_interleaved_queries(space):
                 ("elsewhere", first, elsewhere),
                 ("first", first, point),
             ):
-                got.setdefault(key, []).append(_row(prefs, j, at))
+                got.setdefault(key, []).append(_alone(prefs, j, at))
         got["rows"] = _rows(first, point)
 
         def fresh(prefs, at):
-            return [_row(prefs, j, _rebuilt(at)) for j in range(1, r + 1)]
+            return [_alone(prefs, j, _rebuilt(at)) for j in range(1, r + 1)]
 
         fresh_first, fresh_other, fresh_third = oracles()
         want = {"first": fresh(fresh_first, point) * 2, "other": fresh(fresh_other, point)}

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -104,6 +105,8 @@ def test_stochastic_matrix_validation():
     # a NaN entry would leave a NaN residual, which passes every tolerance test
     with pytest.raises(ValueError):
         StochasticMatrix(np.array([[math.nan, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        StochasticMatrix(np.full((2, 3), 1 / 3))
 
 
 def test_search_rejects_a_nan_tolerance():
@@ -723,6 +726,22 @@ def test_brute_force_binds_or_rejects_the_oracle_board():
     assert unbound.variant is None
     with pytest.raises(ValueError, match="new-style"):
         brute_force(gorbushka_join(3), make_builtin("hungry", 3), 7)
+
+
+@pytest.mark.parametrize("model", ["piecewise_random", "row_shuffled"])
+@pytest.mark.parametrize("run", [solve, lambda variant, prefs: brute_force(variant, prefs, 5)], ids=["solve", "brute"])
+def test_an_oracle_of_another_player_count_is_refused_before_a_row_is_read(run, model):
+    # an unbound r=3 oracle on an r=4 board: the gate would ask it for rows
+    # at points of 4 boxes
+    prefs = make_builtin("piecewise_random", 3, kind="new")
+    if model == "row_shuffled":
+        prefs = row_shuffled(prefs)
+    calls = []
+    raw = prefs.raw
+    prefs = dataclasses.replace(prefs, variant=None, raw=lambda player, point: calls.append(player) or raw(player, point))
+    with pytest.raises(ValueError, match="oracle has 3 players, the board .* has 4 rows"):
+        run(gorbushka_join(4), prefs)
+    assert calls == []
 
 
 def test_division_json_fields():
